@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .closed_form import (
     AmplitudeTable,
-    EntanglementTrace,
     ModelConfig,
     NormalizationError,
     SchmidtSpectrum,

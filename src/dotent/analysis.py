@@ -13,17 +13,17 @@ from .closed_form import (
     SchmidtSpectrum,
     amplitude_table,
     entropy_curve,
+    entropy_derivatives,
     mes_entropy,
     schmidt_spectrum,
 )
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Refined peaks closer in entropy than this are treated as equal and the
 # earliest time wins.
 _TIE_TOL = 1e-12
-# Step for the final parabolic polish: far above entropy rounding noise,
-# far below any oscillation scale reachable within the size budget.
-_POLISH_STEP = 1e-5
+# Bisection alone shrinks a grid-cell bracket below 1e-12 within 40 steps;
+# Newton steps, taken wherever they are safe, converge in far fewer.
+_MAX_REFINE_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -58,47 +58,34 @@ def period(config: ModelConfig) -> float:
     return math.pi if N % 2 == 0 else 2.0 * math.pi
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    width = hi - lo
-    if width <= tol:
-        mid = 0.5 * (lo + hi)
-        return mid, f(mid)
-    a = hi - _INV_PHI * width
-    b = lo + _INV_PHI * width
-    fa, fb = f(a), f(b)
-    while width > tol:
-        if fa >= fb:
-            hi, b, fb = b, a, fa
-            width = hi - lo
-            a = hi - _INV_PHI * width
-            fa = f(a)
-        else:
-            lo, a, fa = a, b, fb
-            width = hi - lo
-            b = lo + _INV_PHI * width
-            fb = f(b)
-    mid = 0.5 * (lo + hi)
-    return mid, f(mid)
+def _check_search(grid_points: int, refine_tol: float) -> None:
+    if grid_points < 8:
+        raise ValueError(f"grid too coarse: {grid_points}")
+    if not (math.isfinite(refine_tol) and refine_tol > 0.0):
+        raise ValueError(f"tolerance must be finite and > 0, got {refine_tol}")
 
 
-def _polish_peak(f, x: float, fx: float) -> tuple[float, float]:
-    """One parabolic step through points spaced above the noise floor.
+def _refine_peaks(table, kts, peaks, tol: float) -> np.ndarray:
+    """Maximize E near each grid peak kts[i], inside [kts[i - 1], kts[i + 1]].
 
-    Golden-section comparisons go blind once the entropy differences fall
-    under rounding noise, which limits the located time to ~1e-8; fitting
-    a parabola through well-separated samples recovers the position to
-    ~1e-11 at negligible cost.
+    All peaks move together by a safeguarded Newton iteration on E': the
+    sign of E' narrows each bracket, and a peak takes its Newton step when
+    E'' < 0 and the step stays inside its bracket, else it bisects.
     """
-    h = _POLISH_STEP
-    below, above = f(x - h), f(x + h)
-    curvature = below + above - 2.0 * fx
-    if curvature >= 0.0:
-        return x, fx
-    shift = -0.5 * h * (above - below) / curvature
-    if abs(shift) > h:
-        return x, fx
-    moved = x + shift
-    return moved, f(moved)
+    x, lo, hi = kts[peaks], kts[peaks - 1], kts[peaks + 1]
+    for _ in range(_MAX_REFINE_STEPS):
+        _, d1, d2 = entropy_derivatives(table, x)
+        lo = np.where(d1 > 0.0, x, lo)
+        hi = np.where(d1 < 0.0, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - d1 / d2
+        safe = (d2 < 0.0) & (newton >= lo) & (newton <= hi)
+        moved = np.where(safe, newton, 0.5 * (lo + hi))
+        converged = np.all(np.abs(moved - x) <= tol)
+        x = moved
+        if converged:
+            break
+    return x
 
 
 def find_max(
@@ -109,29 +96,20 @@ def find_max(
     Every interior grid peak is refined, then the best refined value wins;
     among peaks equal within tolerance the earliest time is returned.
     """
-    if grid_points < 8:
-        raise ValueError(f"grid too coarse: {grid_points}")
+    _check_search(grid_points, refine_tol)
     T = period(config)
     table = amplitude_table(config)
     kts = np.linspace(0.0, T, grid_points + 1)
     coarse = entropy_curve(table, kts)
-
-    def f(kt: float) -> float:
-        return float(entropy_curve(table, np.array([kt]))[0])
-
     peaks = np.flatnonzero(
         (coarse[1:-1] >= coarse[:-2]) & (coarse[1:-1] >= coarse[2:])
     ) + 1
-    if peaks.size == 0:
-        peaks = np.array([int(np.argmax(coarse))])
-    candidates = []
-    for i in peaks:
-        lo = kts[max(i - 1, 0)]
-        hi = kts[min(i + 1, grid_points)]
-        x, fx = _golden_max(f, lo, hi, refine_tol)
-        candidates.append(_polish_peak(f, x, fx))
-    best = max(fx for _, fx in candidates)
-    kt_star, E_max = min(c for c in candidates if c[1] >= best - _TIE_TOL)
+    refined = _refine_peaks(table, kts, peaks, refine_tol)
+    values = entropy_curve(table, refined)
+    best = values.max()
+    kt_star, E_max = min(
+        (float(x), float(e)) for x, e in zip(refined, values) if e >= best - _TIE_TOL
+    )
     E_MES = mes_entropy(config)
     return MaxEntanglementRecord(
         config=config,
@@ -149,6 +127,7 @@ def _find_max_job(job) -> MaxEntanglementRecord:
 
 
 def _run_jobs(configs, grid_points, refine_tol, workers):
+    _check_search(grid_points, refine_tol)
     jobs = [(c, grid_points, refine_tol) for c in configs]
     if workers is not None and workers > 1:
         # Jobs are pure; map() keeps submission order, so the output is

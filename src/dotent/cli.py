@@ -106,6 +106,8 @@ def verification_failures(
     with NaN rather than raised, so a corrupt table surfaces as a
     verification failure instead of a crash.
     """
+    if samples_per_period < 1:
+        raise ValueError(f"need at least one sample, got {samples_per_period}")
     failures = []
     for dots in range(2, max_dots + 1):
         for excitations in range(0, dots + 1):
@@ -142,9 +144,9 @@ def cmd_trace(args) -> int:
         kt_max = args.kt_max
     else:
         raise ValueError("one of --kt-max or --periods is required")
-    if kt_max <= 0:
-        raise ValueError(f"time window must be positive, got {kt_max}")
-    trace = trace_entanglement(
+    if not (math.isfinite(kt_max) and kt_max > 0):
+        raise ValueError(f"time window must be positive and finite, got {kt_max}")
+    times, entropies, weights = trace_entanglement(
         config, np.linspace(0.0, kt_max, args.steps + 1)
     )
     manifest = make_manifest(
@@ -157,10 +159,10 @@ def cmd_trace(args) -> int:
         },
     )
     columns = ["kt", "E"] + [f"P_{m}" for m in range(config.m_prime + 1)]
-    rows = (
-        [_fmt(t), _fmt(e)] + [_fmt(w) for w in spec.weights]
-        for t, e, spec in zip(trace.times, trace.entropies, trace.spectra)
-    )
+    # + 0.0 prints -0.0 as 0.0, as _fmt does; each row is one preformatted field.
+    values = np.column_stack([times, entropies, weights]) + 0.0
+    line = ",".join(["%.14e"] * len(columns))
+    rows = ([line % tuple(row)] for row in values.tolist())
     with _open_out(args.out) as stream:
         _write_csv(stream, manifest, columns, rows)
     return EXIT_OK

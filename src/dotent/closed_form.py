@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -53,12 +54,32 @@ class AmplitudeTable:
 
     The coefficient of Schmidt branch m is a superposition of harmonics:
     sum over n of amplitudes[n][m] * exp(i * phase_multipliers[n] * kt).
-    Both indices run over 0..m_prime.
+    Both indices run over 0..m_prime.  The float views below are built on
+    first use and shared by every later evaluation of this table.
     """
 
     config: ModelConfig
     amplitudes: tuple[tuple[Fraction, ...], ...]
     phase_multipliers: tuple[int, ...]
+
+    @cached_property
+    def mixing(self) -> np.ndarray:
+        """The amplitudes rounded to double precision."""
+        return np.array(
+            [[float(v) for v in row] for row in self.amplitudes], dtype=float
+        )
+
+    @cached_property
+    def multipliers(self) -> np.ndarray:
+        return np.array(self.phase_multipliers, dtype=float)
+
+    @cached_property
+    def weight_factors(self) -> np.ndarray:
+        """Degeneracy prefactors C(M, m) * C(N - M, m) of the Schmidt branches."""
+        N, M, top = self.config.dots, self.config.excitations, self.config.m_prime
+        return np.array(
+            [binomial(M, m) * binomial(N - M, m) for m in range(top + 1)], dtype=float
+        )
 
 
 @dataclass(frozen=True)
@@ -67,14 +88,6 @@ class SchmidtSpectrum:
 
     time: float
     weights: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class EntanglementTrace:
-    config: ModelConfig
-    times: tuple[float, ...]
-    entropies: tuple[float, ...]
-    spectra: tuple[SchmidtSpectrum, ...]
 
 
 def amplitude_table(config: ModelConfig) -> AmplitudeTable:
@@ -111,48 +124,62 @@ def amplitude_table(config: ModelConfig) -> AmplitudeTable:
     return table
 
 
-def _float_table(table: AmplitudeTable) -> tuple[np.ndarray, np.ndarray]:
-    mix = np.array(
-        [[float(v) for v in row] for row in table.amplitudes], dtype=float
-    )
-    mult = np.array(table.phase_multipliers, dtype=float)
-    return mix, mult
-
-
-def schmidt_weight_factors(config: ModelConfig) -> np.ndarray:
-    """Degeneracy prefactors C(M, m) * C(N - M, m) of the Schmidt branches."""
-    N, M = config.dots, config.excitations
-    return np.array(
-        [binomial(M, m) * binomial(N - M, m) for m in range(config.m_prime + 1)],
-        dtype=float,
-    )
-
-
 def coefficients(table: AmplitudeTable, kt: float) -> np.ndarray:
     """Complex branch coefficients at time kt, in double precision."""
-    mix, mult = _float_table(table)
-    return np.exp(1j * mult * kt) @ mix
+    return np.exp(1j * table.multipliers * kt) @ table.mixing
+
+
+def _phases(table: AmplitudeTable, kts) -> np.ndarray:
+    kts = np.atleast_1d(np.asarray(kts, dtype=float))
+    return np.exp(1j * np.outer(kts, table.multipliers))
+
+
+def _entropy(weights: np.ndarray) -> np.ndarray:
+    """Shannon entropy (base 2) along the last axis, with 0 log 0 = 0."""
+    safe = np.where(weights > 0.0, weights, 1.0)
+    return -np.sum(weights * np.log2(safe), axis=-1) + 0.0
 
 
 def spectrum_curve(table: AmplitudeTable, kts) -> np.ndarray:
     """Schmidt weights for every time in kts; row i belongs to kts[i]."""
-    mix, mult = _float_table(table)
-    kts = np.atleast_1d(np.asarray(kts, dtype=float))
-    coeff = np.exp(1j * np.outer(kts, mult)) @ mix
-    return schmidt_weight_factors(table.config) * np.abs(coeff) ** 2
+    coeff = _phases(table, kts) @ table.mixing
+    return table.weight_factors * np.abs(coeff) ** 2
 
 
 def entropy_curve(table: AmplitudeTable, kts) -> np.ndarray:
     """Entanglement entropy (base 2) for every time in kts."""
-    weights = spectrum_curve(table, kts)
-    safe = np.where(weights > 0.0, weights, 1.0)
-    return -np.sum(weights * np.log2(safe), axis=1) + 0.0
+    return _entropy(spectrum_curve(table, kts))
+
+
+def entropy_derivatives(
+    table: AmplitudeTable, kts
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entropy E and its first two kt-derivatives for every time in kts.
+
+    Each branch coefficient c is a trigonometric polynomial, so c' and c''
+    come from the same phase matrix with the harmonics weighted by
+    i * multiplier and -multiplier**2.  Branches of zero weight add
+    nothing, as in the entropy itself.
+    """
+    phases = _phases(table, kts)
+    mult, mix = table.multipliers[:, None], table.mixing
+    c, c1, c2 = (phases @ (h * mix) for h in (1.0, 1j * mult, -mult * mult))
+    f = table.weight_factors
+    w = f * np.abs(c) ** 2
+    w1 = 2.0 * f * (c.conj() * c1).real
+    w2 = 2.0 * f * (np.abs(c1) ** 2 + (c.conj() * c2).real)
+    # d(w ln w)/dw = ln w + 1, masked to 0 on empty branches (there w' = 0 too)
+    safe = np.where(w > 0.0, w, 1.0)
+    slope = np.where(w > 0.0, np.log(safe) + 1.0, 0.0)
+    d1 = -np.sum(w1 * slope, axis=1) / math.log(2.0)
+    d2 = -np.sum(w2 * slope + w1 * w1 / safe, axis=1) / math.log(2.0)
+    return _entropy(w), d1, d2
 
 
 def schmidt_spectrum(table: AmplitudeTable, kt: float) -> SchmidtSpectrum:
     weights = spectrum_curve(table, [kt])[0]
     total = float(weights.sum())
-    if abs(total - 1.0) > SPECTRUM_SUM_TOL:
+    if not abs(total - 1.0) <= SPECTRUM_SUM_TOL:
         raise NormalizationError(
             f"Schmidt weights sum to {total!r} at kt={kt!r}"
         )
@@ -161,28 +188,19 @@ def schmidt_spectrum(table: AmplitudeTable, kt: float) -> SchmidtSpectrum:
 
 def entanglement(spectrum: SchmidtSpectrum) -> float:
     """Shannon entropy (base 2) of the Schmidt weights, with 0 log 0 = 0."""
-    weights = np.asarray(spectrum.weights, dtype=float)
-    positive = weights[weights > 0.0]
-    return float(-(positive * np.log2(positive)).sum() + 0.0)
+    return float(_entropy(np.asarray(spectrum.weights, dtype=float)))
 
 
-def trace_entanglement(config: ModelConfig, kts) -> EntanglementTrace:
-    """Spectra and entropies along a time grid, sharing one table build."""
-    table = amplitude_table(config)
-    kts = np.atleast_1d(np.asarray(kts, dtype=float))
-    weights = spectrum_curve(table, kts)
-    safe = np.where(weights > 0.0, weights, 1.0)
-    entropies = -np.sum(weights * np.log2(safe), axis=1) + 0.0
-    spectra = tuple(
-        SchmidtSpectrum(time=float(t), weights=tuple(float(w) for w in row))
-        for t, row in zip(kts, weights)
-    )
-    return EntanglementTrace(
-        config=config,
-        times=tuple(float(t) for t in kts),
-        entropies=tuple(float(e) for e in entropies),
-        spectra=spectra,
-    )
+def trace_entanglement(
+    config: ModelConfig, kts
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Times, entropies and Schmidt weights along a time grid, from one table.
+
+    Row i of the 2-D weights belongs to times[i].
+    """
+    times = np.atleast_1d(np.asarray(kts, dtype=float))
+    weights = spectrum_curve(amplitude_table(config), times)
+    return times, _entropy(weights), weights
 
 
 def mes_entropy(config: ModelConfig) -> float:

@@ -22,6 +22,14 @@ from dotent.closed_form import (
 )
 
 
+# The configurations the acceptance criteria search, and the widest
+# spectrum (m' = 20) of the published sweeps.
+SEARCH_CONFIGS = [
+    (2, 1), (6, 1), (7, 1), (40, 1), (5, 2), (9, 2), (7, 3), (11, 3),
+    (10, 5), (40, 20),
+]
+
+
 class TestPeriod:
     def test_single_excitation(self):
         assert period(ModelConfig(5, 1)) == 2 * math.pi / 5
@@ -98,6 +106,29 @@ class TestFindMax:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             find_max(ModelConfig(5, 2), grid_points=4)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_tolerance_validation(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            find_max(ModelConfig(5, 2), refine_tol=tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            sweep_over_N(1, [2, 3], refine_tol=tol, workers=2)
+
+    @pytest.mark.parametrize("dots,m_exc", SEARCH_CONFIGS)
+    def test_no_dense_grid_point_beats_the_peak(self, dots, m_exc):
+        config = ModelConfig(dots, m_exc)
+        record = find_max(config)
+        dense = entropy_curve(
+            amplitude_table(config), np.linspace(0.0, period(config), 32769)
+        )
+        assert record.E_max >= dense.max() - 1e-12
+
+    @pytest.mark.parametrize("dots,m_exc", SEARCH_CONFIGS)
+    def test_denser_coarse_grid_finds_the_same_peak(self, dots, m_exc):
+        config = ModelConfig(dots, m_exc)
+        coarse, dense = find_max(config), find_max(config, grid_points=16384)
+        assert abs(coarse.E_max - dense.E_max) <= 1e-12
+        assert abs(coarse.kt_star - dense.kt_star) <= 1e-8
 
 
 class TestSweeps:

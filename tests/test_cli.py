@@ -95,6 +95,17 @@ class TestTrace:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "window", [("--kt-max", "nan"), ("--kt-max", "inf"), ("--periods", "nan")]
+    )
+    def test_non_finite_window_rejected(self, capsys, window):
+        code, out, err = run_cli(
+            capsys, "trace", "--dots", "5", "--excited", "2", *window, "--steps", "3",
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_too_few_steps(self, capsys):
         code, _, _ = run_cli(
             capsys, "trace", "--dots", "6", "--excited", "2",
@@ -154,6 +165,15 @@ class TestMaxent:
         code, _, err = run_cli(capsys, "maxent", "--dots", "3", "--excited", "0")
         assert code == 2
         assert "no dynamics" in err
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_bad_tolerance_is_usage_error(self, capsys, tol):
+        code, out, err = run_cli(
+            capsys, "maxent", "--dots", "5", "--excited", "2", "--tol", tol,
+        )
+        assert code == 2
+        assert out == ""
+        assert "tolerance" in err
 
 
 class TestSweep:
@@ -215,6 +235,16 @@ class TestSweep:
         assert code == 2
 
 
+    def test_bad_tolerance_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--over-N", "--excited", "1", "--dots", "2..40",
+            "--tol", "-1", "--workers", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert "tolerance" in err
+
+
 class TestFit:
     def test_single_excitation_domain(self, capsys, tmp_path):
         out_path = tmp_path / "fit.csv"
@@ -247,6 +277,15 @@ class TestFit:
         assert "critical" in err
 
 
+    def test_bad_tolerance_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "fit", "--excited", "1", "--dots", "7..40", "--tol", "nan",
+        )
+        assert code == 2
+        assert out == ""
+        assert "tolerance" in err
+
+
 class TestVerify:
     def test_small_sweep_passes(self, capsys):
         code, out, err = run_cli(
@@ -255,6 +294,15 @@ class TestVerify:
         assert code == 0
         assert out == ""
         assert "0 failures" in err
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_no_samples_is_usage_error(self, capsys, samples):
+        code, out, err = run_cli(
+            capsys, "verify", "--max-dots", "4", "--samples", samples,
+        )
+        assert code == 2
+        assert out == ""
+        assert "sample" in err
 
     def test_corrupted_amplitudes_fail(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "amplitude_table", _bumped_table)

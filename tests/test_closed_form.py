@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 from dotent.closed_form import (
     ModelConfig,
     NormalizationError,
+    SchmidtSpectrum,
     amplitude_table,
     coefficients,
     entanglement,
     entanglement_rate_m1,
     entropy_curve,
+    entropy_derivatives,
     mes_entropy,
     mes_time_m1,
     p1_single_excitation,
@@ -125,6 +127,11 @@ class TestSchmidtSpectrum:
         for got, want in zip(spec.weights, exact):
             assert abs(got - float(want)) < 1e-12
 
+    @pytest.mark.parametrize("kt", [math.nan, math.inf])
+    def test_non_finite_time_is_flagged(self, kt):
+        with pytest.raises(NormalizationError), np.errstate(invalid="ignore"):
+            schmidt_spectrum(amplitude_table(ModelConfig(5, 2)), kt)
+
     def test_broken_table_is_flagged(self):
         table = amplitude_table(ModelConfig(6, 2))
         rows = [list(r) for r in table.amplitudes]
@@ -147,6 +154,30 @@ class TestSchmidtSpectrum:
         a = spectrum_curve(amplitude_table(config), [kt])[0]
         b = spectrum_curve(amplitude_table(mirror), [kt])[0]
         assert np.abs(a - b).max() < 1e-12
+
+
+class TestEntropyDerivatives:
+    @pytest.mark.parametrize("dots,m_exc", [(7, 3), (12, 5), (40, 20)])
+    def test_match_central_differences(self, dots, m_exc):
+        table = amplitude_table(ModelConfig(dots, m_exc))
+        kts = np.array([0.3, 1.1, 2.5])
+        # step well inside the fastest harmonic's oscillation
+        h = 1e-3 / np.ptp(table.multipliers)
+        E, d1, d2 = entropy_derivatives(table, kts)
+        above, here, below = (entropy_curve(table, kts + s) for s in (h, 0.0, -h))
+        assert np.abs(E - here).max() < 1e-14
+        fd1 = (above - below) / (2.0 * h)
+        fd2 = (above - 2.0 * here + below) / h**2
+        assert np.abs(d1 - fd1).max() < 1e-5 * np.abs(d1).max()
+        assert np.abs(d2 - fd2).max() < 1e-5 * np.abs(d2).max()
+
+    def test_zero_weight_branches_add_nothing(self):
+        table = amplitude_table(ModelConfig(7, 3))
+        # at kt = 0 one branch weight is exactly 0.0 in floats
+        assert (spectrum_curve(table, [0.0]) == 0.0).any()
+        E, d1, d2 = entropy_derivatives(table, [0.0])
+        assert abs(E[0]) < 1e-15 and abs(d1[0]) < 1e-12
+        assert math.isfinite(d2[0])
 
 
 class TestEntanglement:
@@ -333,12 +364,13 @@ class TestPeriodicityOfSpectra:
 def test_trace_shares_one_table():
     config = ModelConfig(6, 2)
     kts = np.linspace(0.0, math.pi, 33)
-    trace = trace_entanglement(config, kts)
-    assert trace.times == tuple(float(t) for t in kts)
-    assert len(trace.spectra) == 33
-    assert max(trace.entropies) <= mes_entropy(config) + 1e-12
-    assert min(trace.entropies) >= 0.0
-    for t, e, spec in zip(trace.times, trace.entropies, trace.spectra):
-        assert spec.time == t
+    times, entropies, weights = trace_entanglement(config, kts)
+    assert times.tolist() == kts.tolist()
+    assert weights.shape == (33, config.m_prime + 1)
+    assert entropies.shape == (33,)
+    assert max(entropies) <= mes_entropy(config) + 1e-12
+    assert min(entropies) >= 0.0
+    for t, e, row in zip(times, entropies, weights):
+        spec = SchmidtSpectrum(float(t), tuple(row.tolist()))
         assert abs(sum(spec.weights) - 1.0) < 1e-12
         assert abs(entanglement(spec) - e) < 1e-12
