@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .closed_form import (
+    AmplitudeTable,
     ModelConfig,
     SchmidtSpectrum,
     amplitude_table,
@@ -18,6 +18,14 @@ from .closed_form import (
     schmidt_spectrum,
 )
 
+# The Schmidt weights are trigonometric polynomials whose fastest harmonic
+# turns (max - min multiplier) times per 2 pi of kt.  Sampling each of its
+# cycles this many times puts a grid point on both flanks of every peak.
+_SAMPLES_PER_CYCLE = 8
+# Floor for spectra with under four cycles per period, e.g. one excitation.
+_MIN_GRID_POINTS = 32
+# Refinement stops once every peak's step is below this kt.
+_REFINE_TOL = 1e-12
 # Refined peaks closer in entropy than this are treated as equal and the
 # earliest time wins.
 _TIE_TOL = 1e-12
@@ -58,14 +66,15 @@ def period(config: ModelConfig) -> float:
     return math.pi if N % 2 == 0 else 2.0 * math.pi
 
 
-def _check_search(grid_points: int, refine_tol: float) -> None:
-    if grid_points < 8:
-        raise ValueError(f"grid too coarse: {grid_points}")
-    if not (math.isfinite(refine_tol) and refine_tol > 0.0):
-        raise ValueError(f"tolerance must be finite and > 0, got {refine_tol}")
+def _grid_size(table: AmplitudeTable, T: float) -> int:
+    """Coarse grid intervals over one period T, from the spectrum's bandwidth."""
+    bandwidth = max(table.phase_multipliers) - min(table.phase_multipliers)
+    # Divide T by 2 pi first, so the cycle count is exact when T is pi or 2 pi.
+    cycles = bandwidth * (T / (2.0 * math.pi))
+    return max(_MIN_GRID_POINTS, math.ceil(_SAMPLES_PER_CYCLE * cycles))
 
 
-def _refine_peaks(table, kts, peaks, tol: float) -> np.ndarray:
+def _refine_peaks(table, kts, peaks) -> np.ndarray:
     """Maximize E near each grid peak kts[i], inside [kts[i - 1], kts[i + 1]].
 
     All peaks move together by a safeguarded Newton iteration on E': the
@@ -81,30 +90,28 @@ def _refine_peaks(table, kts, peaks, tol: float) -> np.ndarray:
             newton = x - d1 / d2
         safe = (d2 < 0.0) & (newton >= lo) & (newton <= hi)
         moved = np.where(safe, newton, 0.5 * (lo + hi))
-        converged = np.all(np.abs(moved - x) <= tol)
+        converged = np.all(np.abs(moved - x) <= _REFINE_TOL)
         x = moved
         if converged:
             break
     return x
 
 
-def find_max(
-    config: ModelConfig, grid_points: int = 4096, refine_tol: float = 1e-12
-) -> MaxEntanglementRecord:
+def find_max(config: ModelConfig) -> MaxEntanglementRecord:
     """Locate the entanglement maximum over one exact period.
 
-    Every interior grid peak is refined, then the best refined value wins;
-    among peaks equal within tolerance the earliest time is returned.
+    Every interior peak of a grid sized by the spectrum's bandwidth is
+    refined, then the best refined value wins; among peaks equal within
+    tolerance the earliest time is returned.
     """
-    _check_search(grid_points, refine_tol)
     T = period(config)
     table = amplitude_table(config)
-    kts = np.linspace(0.0, T, grid_points + 1)
+    kts = np.linspace(0.0, T, _grid_size(table, T) + 1)
     coarse = entropy_curve(table, kts)
     peaks = np.flatnonzero(
         (coarse[1:-1] >= coarse[:-2]) & (coarse[1:-1] >= coarse[2:])
     ) + 1
-    refined = _refine_peaks(table, kts, peaks, refine_tol)
+    refined = _refine_peaks(table, kts, peaks)
     values = entropy_curve(table, refined)
     best = values.max()
     kt_star, E_max = min(
@@ -121,42 +128,14 @@ def find_max(
     )
 
 
-def _find_max_job(job) -> MaxEntanglementRecord:
-    config, grid_points, refine_tol = job
-    return find_max(config, grid_points, refine_tol)
-
-
-def _run_jobs(configs, grid_points, refine_tol, workers):
-    _check_search(grid_points, refine_tol)
-    jobs = [(c, grid_points, refine_tol) for c in configs]
-    if workers is not None and workers > 1:
-        # Jobs are pure; map() keeps submission order, so the output is
-        # deterministic regardless of completion order.
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_find_max_job, jobs))
-    return [_find_max_job(j) for j in jobs]
-
-
-def sweep_over_M(
-    dots: int,
-    grid_points: int = 4096,
-    refine_tol: float = 1e-12,
-    workers: int | None = None,
-) -> list[MaxEntanglementRecord]:
+def sweep_over_M(dots: int) -> list[MaxEntanglementRecord]:
     """Peak records for every nontrivial filling M = 1..N-1 of N dots."""
     if dots < 2:
         raise ValueError(f"need at least two dots, got {dots}")
-    configs = [ModelConfig(dots, m) for m in range(1, dots)]
-    return _run_jobs(configs, grid_points, refine_tol, workers)
+    return [find_max(ModelConfig(dots, m)) for m in range(1, dots)]
 
 
-def sweep_over_N(
-    excitations: int | str,
-    dots_values,
-    grid_points: int = 4096,
-    refine_tol: float = 1e-12,
-    workers: int | None = None,
-) -> list[MaxEntanglementRecord]:
+def sweep_over_N(excitations: int | str, dots_values) -> list[MaxEntanglementRecord]:
     """Peak records across system sizes at fixed M, or at M = N // 2.
 
     Pass excitations="half" for the half-filling mode.
@@ -170,7 +149,7 @@ def sweep_over_N(
             if n < max(2, m + 1):
                 raise ValueError(f"N={n} too small for M={m}")
         configs = [ModelConfig(n, m) for n in dots_values]
-    return _run_jobs(configs, grid_points, refine_tol, workers)
+    return [find_max(c) for c in configs]
 
 
 def critical_N(excitations: int) -> int:
@@ -180,15 +159,8 @@ def critical_N(excitations: int) -> int:
     return 6 if excitations == 1 else 2 * excitations + 5
 
 
-def fit_inverse_linear(
-    excitations: int,
-    dots_values,
-    grid_points: int = 4096,
-    refine_tol: float = 1e-12,
-    workers: int | None = None,
-    records: list[MaxEntanglementRecord] | None = None,
-) -> InverseLinearFit:
-    """Least-squares line through (N, 1 / E_max) beyond the critical size."""
+def check_fit_domain(excitations: int, dots_values) -> list[int]:
+    """The sizes as ints, once they are enough and all past the critical size."""
     dots_values = [int(n) for n in dots_values]
     if len(dots_values) < 3:
         raise ValueError("need at least three sizes to fit")
@@ -198,10 +170,18 @@ def fit_inverse_linear(
         raise ValueError(
             f"fit domain must exceed the critical size {floor}, got {bad}"
         )
+    return dots_values
+
+
+def fit_inverse_linear(
+    excitations: int,
+    dots_values,
+    records: list[MaxEntanglementRecord] | None = None,
+) -> InverseLinearFit:
+    """Least-squares line through (N, 1 / E_max) beyond the critical size."""
+    dots_values = check_fit_domain(excitations, dots_values)
     if records is None:
-        records = sweep_over_N(
-            excitations, dots_values, grid_points, refine_tol, workers
-        )
+        records = sweep_over_N(excitations, dots_values)
     sizes = np.array(dots_values, dtype=float)
     ordinates = np.array([1.0 / r.E_max for r in records])
     design = np.vstack([sizes, np.ones_like(sizes)]).T

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    critical_N,
+    check_fit_domain,
     find_max,
     fit_inverse_linear,
     period,
@@ -36,7 +36,13 @@ from .closed_form import (
     schmidt_spectrum,
     trace_entanglement,
 )
-from .oracle import build_basis, build_hamiltonian, evolve, reduced_entropy
+from .oracle import (
+    DEFAULT_MAX_DOTS,
+    build_basis,
+    build_hamiltonian,
+    evolve,
+    reduced_entropy,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -96,26 +102,29 @@ def _parse_dots_spec(spec: str) -> list[int]:
     return [int(spec)]
 
 
-def verification_failures(
-    max_dots: int, samples_per_period: int, tol: float
-) -> list[tuple]:
-    """Compare the analytical entropy against the brute-force one.
+def _oracle_comparisons(max_dots: int, samples_per_period: int) -> list[tuple]:
+    """The analytical entropy next to the brute-force one, for every sample.
 
-    Returns one (N, M, kt, analytical, brute_force) tuple per mismatch;
-    an analytical-side normalization failure is recorded as a mismatch
-    with NaN rather than raised, so a corrupt table surfaces as a
-    verification failure instead of a crash.
+    Returns one (N, M, kt, analytical, brute_force) tuple per sample of
+    every sector with 2 <= N <= max_dots; an analytical-side normalization
+    failure is recorded as NaN rather than raised, so a corrupt table
+    surfaces as a verification failure instead of a crash.  The size range
+    is checked against the brute force's budget before any work starts.
     """
+    if not 2 <= max_dots <= DEFAULT_MAX_DOTS:
+        raise ValueError(
+            f"max dots must lie in 2..{DEFAULT_MAX_DOTS}, got {max_dots}"
+        )
     if samples_per_period < 1:
         raise ValueError(f"need at least one sample, got {samples_per_period}")
-    failures = []
+    comparisons = []
     for dots in range(2, max_dots + 1):
         for excitations in range(0, dots + 1):
             config = ModelConfig(dots, excitations)
             try:
                 table = amplitude_table(config)
             except NormalizationError:
-                failures.append(
+                comparisons.append(
                     (dots, excitations, float("nan"), float("nan"), float("nan"))
                 )
                 continue
@@ -129,9 +138,20 @@ def verification_failures(
                 except NormalizationError:
                     analytical = float("nan")
                 brute = reduced_entropy(evolve(hamiltonian, kt), excitations)
-                if not abs(analytical - brute) < tol:
-                    failures.append((dots, excitations, kt, analytical, brute))
-    return failures
+                comparisons.append((dots, excitations, kt, analytical, brute))
+    return comparisons
+
+
+def _mismatches(comparisons, tol: float) -> list[tuple]:
+    """The comparisons that differ by tol or more; NaN always differs."""
+    return [c for c in comparisons if not abs(c[3] - c[4]) < tol]
+
+
+def verification_failures(
+    max_dots: int, samples_per_period: int, tol: float
+) -> list[tuple]:
+    """The (N, M, kt, analytical, brute_force) samples that disagree."""
+    return _mismatches(_oracle_comparisons(max_dots, samples_per_period), tol)
 
 
 def cmd_trace(args) -> int:
@@ -174,7 +194,7 @@ def cmd_maxent(args) -> int:
         raise ValueError(
             f"no dynamics for N={args.dots}, M={args.excited}"
         )
-    record = find_max(config, args.grid, args.tol)
+    record = find_max(config)
     print(json.dumps(dataclasses.asdict(record)))
     return EXIT_OK
 
@@ -198,13 +218,13 @@ def cmd_sweep(args) -> int:
             raise ValueError("--excited applies to --over-N only")
         if len(sizes) != 1:
             raise ValueError("--over-M takes a single --dots value")
-        records = sweep_over_M(sizes[0], args.grid, args.tol, args.workers)
+        records = sweep_over_M(sizes[0])
         parameters = {"mode": "over-M", "dots": sizes[0]}
     else:
         if args.excited is None:
             raise ValueError("--over-N requires --excited")
         excited = args.excited if args.excited == "half" else int(args.excited)
-        records = sweep_over_N(excited, sizes, args.grid, args.tol, args.workers)
+        records = sweep_over_N(excited, sizes)
         parameters = {"mode": "over-N", "dots": args.dots, "excited": args.excited}
     manifest = make_manifest("sweep", parameters)
     columns = ["N", "M", "kt_star", "E_max", "e_max", "E_MES"]
@@ -214,8 +234,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    sizes = _parse_dots_spec(args.dots)
-    records = sweep_over_N(args.excited, sizes, args.grid, args.tol, args.workers)
+    sizes = check_fit_domain(args.excited, _parse_dots_spec(args.dots))
+    records = sweep_over_N(args.excited, sizes)
     fit = fit_inverse_linear(args.excited, sizes, records=records)
     print(json.dumps(dataclasses.asdict(fit)))
     manifest = make_manifest(
@@ -231,10 +251,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    failures = verification_failures(args.max_dots, args.samples, args.tol)
-    checked = sum(args.samples for n in range(2, args.max_dots + 1) for _ in range(n + 1))
+    comparisons = _oracle_comparisons(args.max_dots, args.samples)
+    failures = _mismatches(comparisons, args.tol)
     print(
-        f"verify: {checked} samples across N <= {args.max_dots}, "
+        f"verify: {len(comparisons)} samples across N <= {args.max_dots}, "
         f"{len(failures)} failures at tol {args.tol:g}",
         file=sys.stderr,
     )
@@ -276,8 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
     maxent = sub.add_parser("maxent", help="peak entanglement over one period")
     maxent.add_argument("--dots", type=int, required=True)
     maxent.add_argument("--excited", type=int, required=True)
-    maxent.add_argument("--grid", type=int, default=4096)
-    maxent.add_argument("--tol", type=float, default=1e-12)
     maxent.set_defaults(func=cmd_maxent)
 
     sweep = sub.add_parser("sweep", help="peak records across fillings or sizes")
@@ -292,18 +310,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--excited", default=None,
         help="excitation count for --over-N, or 'half' for M = N // 2",
     )
-    sweep.add_argument("--grid", type=int, default=4096)
-    sweep.add_argument("--tol", type=float, default=1e-12)
-    sweep.add_argument("--workers", type=int, default=None)
     sweep.add_argument("--out", default="-")
     sweep.set_defaults(func=cmd_sweep)
 
     fit = sub.add_parser("fit", help="line through 1/E_max beyond the critical size")
     fit.add_argument("--excited", type=int, required=True)
     fit.add_argument("--dots", required=True, help="inclusive range like 8..40")
-    fit.add_argument("--grid", type=int, default=4096)
-    fit.add_argument("--tol", type=float, default=1e-12)
-    fit.add_argument("--workers", type=int, default=None)
     fit.add_argument("--out", default="-")
     fit.set_defaults(func=cmd_fit)
 

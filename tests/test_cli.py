@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import dotent.analysis as analysis
 import dotent.cli as cli
 from dotent.closed_form import amplitude_table as real_amplitude_table
 
@@ -166,6 +167,7 @@ class TestMaxent:
         assert code == 2
         assert "no dynamics" in err
 
+    # The search tolerance is a constant, so any --tol is refused.
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     def test_bad_tolerance_is_usage_error(self, capsys, tol):
         code, out, err = run_cli(
@@ -173,7 +175,7 @@ class TestMaxent:
         )
         assert code == 2
         assert out == ""
-        assert "tolerance" in err
+        assert "unrecognized arguments: --tol" in err
 
 
 class TestSweep:
@@ -202,7 +204,6 @@ class TestSweep:
     def test_over_sizes_half_filling_growth(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "--over-N", "--excited", "half", "--dots", "2..13",
-            "--grid", "2048",
         )
         assert code == 0
         _, _, rows = parse_csv(out)
@@ -234,15 +235,14 @@ class TestSweep:
         )
         assert code == 2
 
-
     def test_bad_tolerance_is_usage_error(self, capsys):
         code, out, err = run_cli(
             capsys, "sweep", "--over-N", "--excited", "1", "--dots", "2..40",
-            "--tol", "-1", "--workers", "2",
+            "--tol", "-1",
         )
         assert code == 2
         assert out == ""
-        assert "tolerance" in err
+        assert "unrecognized arguments: --tol" in err
 
 
 class TestFit:
@@ -266,7 +266,7 @@ class TestFit:
 
     def test_three_excited_slope(self, capsys):
         code, out, _ = run_cli(
-            capsys, "fit", "--excited", "3", "--dots", "12..24", "--grid", "2048",
+            capsys, "fit", "--excited", "3", "--dots", "12..24",
         )
         assert code == 0
         assert json.loads(out.splitlines()[0])["slope"] > 0.0
@@ -276,14 +276,23 @@ class TestFit:
         assert code == 2
         assert "critical" in err
 
-
     def test_bad_tolerance_is_usage_error(self, capsys):
         code, out, err = run_cli(
             capsys, "fit", "--excited", "1", "--dots", "7..40", "--tol", "nan",
         )
         assert code == 2
         assert out == ""
-        assert "tolerance" in err
+        assert "unrecognized arguments: --tol" in err
+
+    def test_domain_checked_before_any_search(self, capsys, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError(f"searched {args} before checking the domain")
+
+        monkeypatch.setattr(analysis, "find_max", no_search)
+        code, out, err = run_cli(capsys, "fit", "--excited", "2", "--dots", "3..9")
+        assert code == 2
+        assert out == ""
+        assert "critical" in err
 
 
 class TestVerify:
@@ -304,6 +313,30 @@ class TestVerify:
         assert out == ""
         assert "sample" in err
 
+    def test_empty_size_range_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--max-dots", "1")
+        assert code == 2
+        assert out == ""
+        assert "max dots" in err
+
+    def test_sizes_past_the_oracle_budget_refused_up_front(self, capsys, monkeypatch):
+        def no_build(basis):
+            raise AssertionError("built a Hamiltonian before checking the budget")
+
+        monkeypatch.setattr(cli, "build_hamiltonian", no_build)
+        code, out, err = run_cli(capsys, "verify", "--max-dots", "17")
+        assert code == 2
+        assert out == ""
+        assert "2..16" in err
+
+    def test_sample_count_covers_every_sector(self, capsys):
+        code, _, err = run_cli(
+            capsys, "verify", "--max-dots", "4", "--samples", "3",
+        )
+        assert code == 0
+        # 3 + 4 + 5 sectors for N = 2, 3, 4
+        assert "verify: 36 samples across N <= 4, 0 failures" in err
+
     def test_corrupted_amplitudes_fail(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "amplitude_table", _bumped_table)
         code, out, err = run_cli(
@@ -323,6 +356,24 @@ class TestVerify:
         assert code == 1
         assert out_path.exists()
         assert "E_brute_force" in out_path.read_text(encoding="utf-8")
+
+
+# --tol is covered by each command's test_bad_tolerance_is_usage_error.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["maxent", "--dots", "5", "--excited", "2", "--grid", "64"],
+        ["sweep", "--over-M", "--dots", "6", "--grid", "64"],
+        ["sweep", "--over-N", "--excited", "1", "--dots", "2..6", "--workers", "2"],
+        ["fit", "--excited", "1", "--dots", "7..12", "--grid", "64"],
+        ["fit", "--excited", "1", "--dots", "7..12", "--workers", "2"],
+    ],
+)
+def test_search_knobs_are_gone(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 class TestEntryPoints:

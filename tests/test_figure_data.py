@@ -1,0 +1,63 @@
+"""Every dataset of scripts/make_figure_data.py, regenerated against data/."""
+
+import importlib.util
+import pathlib
+
+import numpy as np
+import pytest
+
+from dotent.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# Per real column, |new - published| <= atol + RTOL * |published|.  The peak
+# location is fixed far less tightly than the value, because E is stationary
+# there: 1e-8 in kt_star still pins E_max to ~1e-13.
+RTOL = 1e-12
+ATOL = 1e-12
+ATOL_BY_COLUMN = {"kt_star": 1e-8}
+INTEGER_COLUMNS = {"N", "M"}
+
+
+def _runs():
+    spec = importlib.util.spec_from_file_location(
+        "make_figure_data", ROOT / "scripts" / "make_figure_data.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.RUNS
+
+
+RUNS = _runs()
+
+
+def _table(path):
+    lines = [
+        line
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if not line.startswith("#")
+    ]
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+@pytest.mark.parametrize("name,argv", RUNS, ids=[name for name, _ in RUNS])
+def test_regenerated_dataset_matches_data(tmp_path, name, argv):
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == 0
+    header, rows = _table(out)
+    ref_header, ref_rows = _table(ROOT / "data" / name)
+    assert header == ref_header
+    assert len(rows) == len(ref_rows)
+    for j, column in enumerate(header):
+        got = [row[j] for row in rows]
+        want = [row[j] for row in ref_rows]
+        if column in INTEGER_COLUMNS:
+            assert got == want, column
+        else:
+            np.testing.assert_allclose(
+                np.array(got, dtype=float),
+                np.array(want, dtype=float),
+                rtol=RTOL,
+                atol=ATOL_BY_COLUMN.get(column, ATOL),
+                err_msg=column,
+            )
