@@ -9,45 +9,5 @@ searches and size sweeps, `cli` the dataset-emitting command line.
 
 __version__ = "0.1.0"
 
-from .closed_form import (
-    AmplitudeTable,
-    ModelConfig,
-    NormalizationError,
-    SchmidtSpectrum,
-    amplitude_table,
-    coefficients,
-    entanglement,
-    entanglement_rate_m1,
-    entropy_curve,
-    mes_entropy,
-    mes_time_m1,
-    p1_single_excitation,
-    peak_entropy_m1,
-    pi_time_magnitudes,
-    pi_time_magnitudes_exact,
-    relative_entanglement,
-    schmidt_spectrum,
-    spectrum_curve,
-    trace_entanglement,
-)
-from .oracle import (
-    SectorBasis,
-    SectorHamiltonian,
-    SectorState,
-    build_basis,
-    build_hamiltonian,
-    evolve,
-    oracle_entanglement,
-    reduced_eigenvalues,
-    reduced_entropy,
-)
-from .analysis import (
-    InverseLinearFit,
-    MaxEntanglementRecord,
-    critical_N,
-    find_max,
-    fit_inverse_linear,
-    period,
-    sweep_over_M,
-    sweep_over_N,
-)
+from .closed_form import ModelConfig, amplitude_table, entanglement, schmidt_spectrum
+from .analysis import find_max

@@ -178,10 +178,18 @@ def fit_inverse_linear(
     dots_values,
     records: list[MaxEntanglementRecord] | None = None,
 ) -> InverseLinearFit:
-    """Least-squares line through (N, 1 / E_max) beyond the critical size."""
+    """Least-squares line through (N, 1 / E_max) beyond the critical size.
+
+    Given `records` must be the sweep over `dots_values` at this M, in order.
+    """
     dots_values = check_fit_domain(excitations, dots_values)
     if records is None:
         records = sweep_over_N(excitations, dots_values)
+    got = [(r.config.dots, r.config.excitations) for r in records]
+    if got != [(n, excitations) for n in dots_values]:
+        raise ValueError(
+            f"records must be the sweep over N={dots_values} at M={excitations}"
+        )
     sizes = np.array(dots_values, dtype=float)
     ordinates = np.array([1.0 / r.E_max for r in records])
     design = np.vstack([sizes, np.ones_like(sizes)]).T

@@ -14,7 +14,6 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -50,25 +49,15 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    parameters: dict
-    tool_version: str
-    timestamp: str
-
-
-def make_manifest(command: str, parameters: dict) -> RunManifest:
-    return RunManifest(
-        command=command,
-        parameters=parameters,
-        tool_version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
-
-
-def manifest_line(manifest: RunManifest) -> str:
-    return "# " + json.dumps(dataclasses.asdict(manifest), sort_keys=True)
+def _manifest_line(command: str, parameters: dict) -> str:
+    """The '# {json}' run manifest that opens every CSV."""
+    manifest = {
+        "command": command,
+        "parameters": parameters,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "tool_version": __version__,
+    }
+    return "# " + json.dumps(manifest, sort_keys=True)
 
 
 def _fmt(x: float) -> str:
@@ -84,8 +73,8 @@ def _open_out(path: str):
             yield stream
 
 
-def _write_csv(stream, manifest: RunManifest, columns, rows) -> None:
-    stream.write(manifest_line(manifest) + "\n")
+def _write_csv(stream, manifest: str, columns, rows) -> None:
+    stream.write(manifest + "\n")
     stream.write(",".join(columns) + "\n")
     for row in rows:
         stream.write(",".join(row) + "\n")
@@ -169,7 +158,7 @@ def cmd_trace(args) -> int:
     times, entropies, weights = trace_entanglement(
         config, np.linspace(0.0, kt_max, args.steps + 1)
     )
-    manifest = make_manifest(
+    manifest = _manifest_line(
         "trace",
         {
             "dots": args.dots,
@@ -189,12 +178,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_maxent(args) -> int:
-    config = ModelConfig(args.dots, args.excited)
-    if config.m_prime == 0:
-        raise ValueError(
-            f"no dynamics for N={args.dots}, M={args.excited}"
-        )
-    record = find_max(config)
+    record = find_max(ModelConfig(args.dots, args.excited))
     print(json.dumps(dataclasses.asdict(record)))
     return EXIT_OK
 
@@ -226,7 +210,7 @@ def cmd_sweep(args) -> int:
         excited = args.excited if args.excited == "half" else int(args.excited)
         records = sweep_over_N(excited, sizes)
         parameters = {"mode": "over-N", "dots": args.dots, "excited": args.excited}
-    manifest = make_manifest("sweep", parameters)
+    manifest = _manifest_line("sweep", parameters)
     columns = ["N", "M", "kt_star", "E_max", "e_max", "E_MES"]
     with _open_out(args.out) as stream:
         _write_csv(stream, manifest, columns, _sweep_rows(records))
@@ -238,7 +222,7 @@ def cmd_fit(args) -> int:
     records = sweep_over_N(args.excited, sizes)
     fit = fit_inverse_linear(args.excited, sizes, records=records)
     print(json.dumps(dataclasses.asdict(fit)))
-    manifest = make_manifest(
+    manifest = _manifest_line(
         "fit", {"excited": args.excited, "dots": args.dots}
     )
     columns = ["N", "inv_E_max"]
@@ -260,7 +244,7 @@ def cmd_verify(args) -> int:
     )
     if not failures:
         return EXIT_OK
-    manifest = make_manifest(
+    manifest = _manifest_line(
         "verify",
         {"max_dots": args.max_dots, "samples": args.samples, "tol": args.tol},
     )

@@ -1,13 +1,8 @@
-"""Exact integer primitives shared by the analytical and brute-force paths."""
+"""Exact integer primitives of the analytical path."""
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-
-# Exact signed rational, always in lowest terms with positive denominator.
-# The stdlib Fraction already guarantees that; the alias names the role.
-ExactRational = Fraction
 
 
 def binomial(x: int, y: int) -> int:

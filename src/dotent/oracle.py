@@ -2,8 +2,8 @@
 
 Deliberately independent of the analytical path: the state is evolved by
 dense diagonalization of the hopping matrix and the entanglement comes
-from eigenvalues of the reduced density matrix.  Only the integer
-primitives are shared with the rest of the package.
+from eigenvalues of the reduced density matrix.  Nothing from the rest
+of the package is imported.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-# Dense sector matrices stay manageable up to C(16, 8) = 12870.
+# One dense float matrix at C(16, 8) = 12870 states takes 12870^2 * 8 B
+# = 1.3 GB, and eigh needs about as much again for the eigenvectors.
 DEFAULT_MAX_DOTS = 16
 
 
@@ -22,20 +23,15 @@ DEFAULT_MAX_DOTS = 16
 class SectorBasis:
     """N-bit configurations with exactly M ones, ascending as integers.
 
-    Site 1 is the most significant bit, so the initial configuration
-    (first M sites excited) is the last basis element.
+    The states are one read-only int64 array, so a configuration's basis
+    position is its `searchsorted` index.  Site 1 is the most significant
+    bit, so the initial configuration (first M sites excited) is the last
+    basis element.
     """
 
     dots: int
     excitations: int
-    states: tuple[int, ...]
-
-    @cached_property
-    def _positions(self) -> dict[int, int]:
-        return {s: i for i, s in enumerate(self.states)}
-
-    def index_of(self, state: int) -> int:
-        return self._positions[state]
+    states: np.ndarray
 
     def __len__(self) -> int:
         return len(self.states)
@@ -60,46 +56,39 @@ class SectorState:
     amplitudes: np.ndarray
 
 
-def build_basis(
-    dots: int, excitations: int, max_dots: int = DEFAULT_MAX_DOTS
-) -> SectorBasis:
+def build_basis(dots: int, excitations: int) -> SectorBasis:
     if dots < 1:
         raise ValueError(f"need at least one dot, got {dots}")
     if not 0 <= excitations <= dots:
         raise ValueError(
             f"excitations must lie in 0..{dots}, got {excitations}"
         )
-    if dots > max_dots:
+    if dots > DEFAULT_MAX_DOTS:
         raise ValueError(
-            f"sector budget exceeded: {dots} dots > limit {max_dots}"
+            f"sector budget exceeded: {dots} dots > limit {DEFAULT_MAX_DOTS}"
         )
-    states = sorted(
-        sum(1 << p for p in chosen)
-        for chosen in itertools.combinations(range(dots), excitations)
-    )
-    return SectorBasis(dots, excitations, tuple(states))
+    values = np.arange(1 << dots, dtype=np.int64)
+    ones = sum((values >> p) & 1 for p in range(dots))
+    states = values[ones == excitations]
+    states.setflags(write=False)
+    return SectorBasis(dots, excitations, states)
 
 
 def build_hamiltonian(basis: SectorBasis) -> SectorHamiltonian:
-    size = len(basis)
-    matrix = np.zeros((size, size))
-    for i, state in enumerate(basis.states):
-        for src in range(basis.dots):
-            if not state >> src & 1:
-                continue
-            for dst in range(basis.dots):
-                if state >> dst & 1:
-                    continue
-                moved = (state ^ (1 << src)) | (1 << dst)
-                matrix[i, basis.index_of(moved)] = 1.0
+    states = basis.states
+    occupied = ((states[:, None] >> np.arange(basis.dots)) & 1).astype(bool)
+    matrix = np.zeros((len(states), len(states)))
+    for src, dst in itertools.permutations(range(basis.dots), 2):
+        hop = np.flatnonzero(occupied[:, src] & ~occupied[:, dst])
+        moved = states[hop] ^ (1 << src | 1 << dst)
+        matrix[hop, np.searchsorted(states, moved)] = 1.0
     matrix.setflags(write=False)
     return SectorHamiltonian(basis, matrix)
 
 
 def initial_state_index(basis: SectorBasis) -> int:
     """Basis position of the configuration with the first M sites excited."""
-    N, M = basis.dots, basis.excitations
-    return basis.index_of(((1 << M) - 1) << (N - M))
+    return len(basis) - 1
 
 
 def evolve(hamiltonian: SectorHamiltonian, kt: float) -> SectorState:
@@ -121,14 +110,10 @@ def reduced_eigenvalues(state: SectorState, cut: int) -> np.ndarray:
         raise ValueError(f"cut must lie in 0..{basis.dots}, got {cut}")
     shift = basis.dots - cut
     mask = (1 << shift) - 1
-    rows: dict[int, int] = {}
-    cols: dict[int, int] = {}
-    for s in basis.states:
-        rows.setdefault(s >> shift, len(rows))
-        cols.setdefault(s & mask, len(cols))
+    rows, row_of = np.unique(basis.states >> shift, return_inverse=True)
+    cols, col_of = np.unique(basis.states & mask, return_inverse=True)
     block = np.zeros((len(rows), len(cols)), dtype=complex)
-    for s, amp in zip(basis.states, state.amplitudes):
-        block[rows[s >> shift], cols[s & mask]] = amp
+    block[row_of, col_of] = state.amplitudes
     density = block @ block.conj().T
     values = np.linalg.eigvalsh(density)
     if values.min() < -1e-12:
@@ -145,10 +130,8 @@ def reduced_entropy(state: SectorState, cut: int) -> float:
     return float(-(positive * np.log2(positive)).sum() + 0.0)
 
 
-def oracle_entanglement(
-    dots: int, excitations: int, kt: float, max_dots: int = DEFAULT_MAX_DOTS
-) -> float:
+def oracle_entanglement(dots: int, excitations: int, kt: float) -> float:
     """Full pipeline: basis, hopping matrix, evolution, reduced entropy."""
-    basis = build_basis(dots, excitations, max_dots)
+    basis = build_basis(dots, excitations)
     hamiltonian = build_hamiltonian(basis)
     return reduced_entropy(evolve(hamiltonian, kt), excitations)

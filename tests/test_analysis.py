@@ -213,3 +213,17 @@ class TestInverseLinearFit:
     def test_requires_supercritical_domain(self):
         with pytest.raises(ValueError):
             fit_inverse_linear(2, [8, 9, 10, 11])
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda sizes: sweep_over_N(3, sizes),
+            lambda sizes: sweep_over_N(2, sizes)[::-1],
+            lambda sizes: sweep_over_N(2, sizes)[:-1],
+        ],
+        ids=["other_M", "reordered", "short"],
+    )
+    def test_records_must_match_the_domain(self, mangle):
+        sizes = list(range(12, 20))
+        with pytest.raises(ValueError, match="records must be"):
+            fit_inverse_linear(2, sizes, records=mangle(sizes))

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from dotent.combinatorics import ExactRational, binomial, double_factorial
+from dotent.combinatorics import binomial, double_factorial
 
 
 class TestBinomial:
@@ -52,9 +52,3 @@ class TestDoubleFactorial:
     @given(st.integers(1, 40))
     def test_adjacent_product_is_factorial(self, x):
         assert double_factorial(x) * double_factorial(x - 1) == math.factorial(x)
-
-
-def test_exact_rational_is_reduced_with_positive_denominator():
-    r = ExactRational(6, -4)
-    assert (r.numerator, r.denominator) == (-3, 2)
-    assert ExactRational(0, 7) == ExactRational(0, 1)
