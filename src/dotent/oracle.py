@@ -52,6 +52,8 @@ class SectorHamiltonian:
 
 @dataclass(frozen=True)
 class SectorState:
+    """Amplitudes over the basis, one row per time for an array of times."""
+
     basis: SectorBasis
     amplitudes: np.ndarray
 
@@ -91,19 +93,29 @@ def initial_state_index(basis: SectorBasis) -> int:
     return len(basis) - 1
 
 
-def evolve(hamiltonian: SectorHamiltonian, kt: float) -> SectorState:
-    """State at time kt starting from the first-M-sites-excited configuration."""
+def evolve(hamiltonian: SectorHamiltonian, kt: float | np.ndarray) -> SectorState:
+    """State at time kt starting from the first-M-sites-excited configuration.
+
+    For a 1-D array of times the amplitudes gain a leading time axis, one
+    row per time.  The eigenvectors of the real symmetric hopping matrix
+    are real, so the basis change is two real matrix products.
+    """
     values, vectors = hamiltonian.eigensystem
     start = initial_state_index(hamiltonian.basis)
-    phases = np.exp(-1j * values * kt) * vectors[start, :].conj()
-    return SectorState(hamiltonian.basis, vectors @ phases)
+    phases = np.exp(-1j * np.multiply.outer(kt, values)) * vectors[start, :]
+    amplitudes = phases.real @ vectors.T + 1j * (phases.imag @ vectors.T)
+    return SectorState(hamiltonian.basis, amplitudes)
 
 
 def reduced_eigenvalues(state: SectorState, cut: int) -> np.ndarray:
-    """Ascending eigenvalues of the reduced density matrix of sites 1..cut.
+    """Ascending nonzero spectrum, plus zeros, of the reduced density matrix.
 
-    Only configurations compatible with the sector appear as rows and
-    columns, which keeps the matrix small for every split.
+    The density of sites 1..cut is B B† for the amplitude block B, with one
+    row per configuration of those sites and one column per configuration
+    of the rest; only configurations compatible with the sector appear.
+    B† B has the same nonzero eigenvalues, so the smaller of the two Gram
+    matrices is diagonalized and min(rows, cols) values are returned, one
+    such row per time for a time-batched state.
     """
     basis = state.basis
     if not 0 <= cut <= basis.dots:
@@ -112,10 +124,12 @@ def reduced_eigenvalues(state: SectorState, cut: int) -> np.ndarray:
     mask = (1 << shift) - 1
     rows, row_of = np.unique(basis.states >> shift, return_inverse=True)
     cols, col_of = np.unique(basis.states & mask, return_inverse=True)
-    block = np.zeros((len(rows), len(cols)), dtype=complex)
-    block[row_of, col_of] = state.amplitudes
-    density = block @ block.conj().T
-    values = np.linalg.eigvalsh(density)
+    shape = state.amplitudes.shape[:-1] + (len(rows), len(cols))
+    block = np.zeros(shape, dtype=complex)
+    block[..., row_of, col_of] = state.amplitudes
+    if len(rows) > len(cols):
+        block = block.conj().swapaxes(-1, -2)
+    values = np.linalg.eigvalsh(block @ block.conj().swapaxes(-1, -2))
     if values.min() < -1e-12:
         raise ArithmeticError(
             f"reduced density matrix has eigenvalue {values.min()}"
@@ -123,15 +137,15 @@ def reduced_eigenvalues(state: SectorState, cut: int) -> np.ndarray:
     return np.clip(values, 0.0, None)
 
 
-def reduced_entropy(state: SectorState, cut: int) -> float:
-    """Von Neumann entropy (base 2) of the first `cut` sites."""
+def reduced_entropy(state: SectorState, cut: int) -> float | np.ndarray:
+    """Von Neumann entropy (base 2) of the first `cut` sites, one per time."""
     values = reduced_eigenvalues(state, cut)
-    positive = values[values > 0.0]
-    return float(-(positive * np.log2(positive)).sum() + 0.0)
+    logs = np.log2(np.where(values > 0.0, values, 1.0))
+    return -(values * logs).sum(axis=-1) + 0.0
 
 
 def oracle_entanglement(dots: int, excitations: int, kt: float) -> float:
     """Full pipeline: basis, hopping matrix, evolution, reduced entropy."""
     basis = build_basis(dots, excitations)
     hamiltonian = build_hamiltonian(basis)
-    return reduced_entropy(evolve(hamiltonian, kt), excitations)
+    return float(reduced_entropy(evolve(hamiltonian, kt), excitations))

@@ -337,6 +337,62 @@ class TestVerify:
         # 3 + 4 + 5 sectors for N = 2, 3, 4
         assert "verify: 36 samples across N <= 4, 0 failures" in err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+    def test_bad_tolerance_refused_up_front(self, capsys, monkeypatch, tol):
+        def no_build(basis):
+            raise AssertionError("built a Hamiltonian before checking --tol")
+
+        monkeypatch.setattr(cli, "build_hamiltonian", no_build)
+        code, out, err = run_cli(
+            capsys, "verify", "--max-dots", "3", "--samples", "2", "--tol", tol,
+        )
+        assert code == 2
+        assert out == ""
+        assert "tol" in err
+
+    def test_reports_its_margin(self, capsys):
+        code, _, err = run_cli(
+            capsys, "verify", "--max-dots", "6", "--samples", "10",
+        )
+        assert code == 0
+        margin = re.compile(r"0 failures at tol 1e-09, max \|diff\| (\S+)$")
+        match = margin.search(err.strip())
+        assert match is not None
+        assert 0.0 <= float(match.group(1)) <= 1e-12
+
+    def test_nan_sample_makes_the_margin_nan(self, capsys, monkeypatch):
+        def broken_spectrum(table, kt):
+            raise cli.NormalizationError("corrupt table")
+
+        monkeypatch.setattr(cli, "schmidt_spectrum", broken_spectrum)
+        code, _, err = run_cli(
+            capsys, "verify", "--max-dots", "3", "--samples", "2",
+        )
+        assert code == 1
+        assert err.strip().endswith("max |diff| nan")
+
+    def test_oracle_runs_once_per_sector(self, capsys, monkeypatch):
+        calls = {"evolve": 0, "reduced_entropy": 0}
+
+        def counted(name):
+            original = getattr(cli, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name))
+        code, _, err = run_cli(
+            capsys, "verify", "--max-dots", "4", "--samples", "3",
+        )
+        assert code == 0
+        assert "36 samples" in err
+        # 3 + 4 + 5 sectors for N = 2, 3, 4
+        assert calls == {"evolve": 12, "reduced_entropy": 12}
+
     def test_corrupted_amplitudes_fail(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "amplitude_table", _bumped_table)
         code, out, err = run_cli(

@@ -114,6 +114,14 @@ class TestEvolution:
         assert abs(amps[1] - math.cos(math.pi / 4)) < 1e-12
         assert abs(amps[0] - (-1j) * math.sin(math.pi / 4)) < 1e-12
 
+    def test_batch_rows_are_the_single_time_states(self):
+        h = build_hamiltonian(build_basis(8, 3))
+        kts = np.linspace(-4.0, 11.0, 13)
+        batch = evolve(h, kts).amplitudes
+        assert batch.shape == (len(kts), len(h.basis))
+        for kt, row in zip(kts, batch):
+            assert np.abs(row - evolve(h, kt).amplitudes).max() < 1e-14
+
     @settings(max_examples=30, deadline=None)
     @given(st.floats(-12.0, 12.0))
     def test_norm_preserved(self, kt):
@@ -148,6 +156,37 @@ class TestReducedEntropy:
             for cut in range(0, dots + 1):
                 assert abs(reduced_eigenvalues(state, cut).sum() - 1.0) < 1e-12
 
+    def test_batch_matches_each_time_at_every_cut(self):
+        kts = np.array([0.0, 0.4, 1.3, 2.9, 6.1])
+        for dots, m_exc in [(7, 3), (8, 1), (9, 4), (10, 5)]:
+            h = build_hamiltonian(build_basis(dots, m_exc))
+            batch = evolve(h, kts)
+            for cut in range(0, dots + 1):
+                single = [reduced_entropy(evolve(h, kt), cut) for kt in kts]
+                assert np.abs(reduced_entropy(batch, cut) - single).max() < 1e-12
+
+    def test_smaller_gram_side_keeps_the_spectrum(self):
+        # Reference: the full density B B† with rows and columns indexed by
+        # a dict over the configurations of each side.  Cuts near either
+        # end make rows < cols and rows > cols in turn.
+        for dots, m_exc in [(7, 3), (8, 1), (9, 4), (10, 5)]:
+            basis = build_basis(dots, m_exc)
+            state = evolve(build_hamiltonian(basis), 1.3)
+            for cut in range(0, dots + 1):
+                shift, mask = dots - cut, (1 << (dots - cut)) - 1
+                rows, cols = {}, {}
+                for s in basis.states.tolist():
+                    rows.setdefault(s >> shift, len(rows))
+                    cols.setdefault(s & mask, len(cols))
+                block = np.zeros((len(rows), len(cols)), dtype=complex)
+                for s, amp in zip(basis.states.tolist(), state.amplitudes):
+                    block[rows[s >> shift], cols[s & mask]] = amp
+                full = np.linalg.eigvalsh(block @ block.conj().T)
+                values = reduced_eigenvalues(state, cut)
+                assert len(values) == min(len(rows), len(cols))
+                assert np.abs(values - full[-len(values):]).max() < 1e-12
+                assert np.abs(full[: -len(values)]).max(initial=0.0) < 1e-12
+
     def test_cut_validation(self):
         state = evolve(build_hamiltonian(build_basis(4, 2)), 0.5)
         with pytest.raises(ValueError):
@@ -169,6 +208,9 @@ class TestPipeline:
     def test_start_time_vanishes(self):
         for dots, m_exc in [(4, 2), (9, 3), (10, 0), (10, 10)]:
             assert abs(oracle_entanglement(dots, m_exc, 0.0)) < 1e-12
+
+    def test_returns_a_python_float(self):
+        assert type(oracle_entanglement(5, 2, 1.0)) is float
 
     def test_five_two_at_pi(self):
         assert abs(oracle_entanglement(5, 2, math.pi) - ENTROPY_5_2_AT_PI) < 1e-9
