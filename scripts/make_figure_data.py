@@ -1,14 +1,20 @@
 #!/usr/bin/env python3
 # Regenerate the plot-ready CSV datasets under data/ using the command
 # line entry points, so every figure can be rebuilt from a clean checkout.
-# Run from anywhere: paths are anchored to the repository root.
+# Run from anywhere: paths are anchored to the repository root, and the
+# package is imported from the checkout's src/ when it is not installed.
 
 import pathlib
 import sys
 
-from dotent.cli import main
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
 
-DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+from dotent.cli import main  # noqa: E402
+
+DATA = ROOT / "data"
 
 # (output file, arguments before --out)
 RUNS = [

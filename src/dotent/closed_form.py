@@ -10,6 +10,7 @@ and floating point enters only in the final trigonometric evaluation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -35,6 +36,15 @@ class ModelConfig:
     excitations: int
 
     def __post_init__(self):
+        for name in ("dots", "excitations"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                number = int(operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, number)
         if self.dots < 1:
             raise ValueError(f"need at least one dot, got {self.dots}")
         if not 0 <= self.excitations <= self.dots:
@@ -93,35 +103,48 @@ class SchmidtSpectrum:
 def amplitude_table(config: ModelConfig) -> AmplitudeTable:
     """Build the exact mixing matrix and integer phase multipliers.
 
-    Construction is validated against the t = 0 product state: column m
-    must sum to 1 for m = 0 and to 0 otherwise, exactly.
+    Entry (n, m) is the paper's sum over k of
+    (-1)^k C(m, k) [C(N+1-2k, n-k) - 2 C(N-2k, n-k-1)] / C(N-2k, M-k).
+    The denominators depend only on k, so every term is scaled to their
+    least common multiple L and summed as an integer; each entry is one
+    Fraction(sum, L).  Construction is validated against the t = 0 product
+    state on those integer sums: column m must sum to L for m = 0 and to 0
+    otherwise, exactly.
     """
     N, M = config.dots, config.excitations
     top = config.m_prime
-    rows = []
-    for n in range(top + 1):
-        row = []
-        for m in range(top + 1):
-            acc = Fraction(0)
-            for k in range(m + 1):
-                bracket = binomial(N + 1 - 2 * k, n - k) - 2 * binomial(
-                    N - 2 * k, n - k - 1
-                )
-                acc += Fraction(
-                    (-1) ** k * binomial(m, k) * bracket,
-                    binomial(N - 2 * k, M - k),
-                )
-            row.append(acc)
-        rows.append(tuple(row))
-    multipliers = tuple(n * (N + 1 - n) - M * (N - M) for n in range(top + 1))
-    table = AmplitudeTable(config, tuple(rows), multipliers)
+    denominators = [binomial(N - 2 * k, M - k) for k in range(top + 1)]
+    common = math.lcm(*denominators)
+    # k-th term coefficient of column m; terms with k > m vanish
+    weights = [
+        [
+            (-1) ** k * (common // denominators[k]) * binomial(m, k)
+            for k in range(m + 1)
+        ]
+        for m in range(top + 1)
+    ]
+    # bracket of row n; terms with k > n vanish
+    brackets = [
+        [
+            binomial(N + 1 - 2 * k, n - k) - 2 * binomial(N - 2 * k, n - k - 1)
+            for k in range(n + 1)
+        ]
+        for n in range(top + 1)
+    ]
+    sums = [
+        [sum(w * b for w, b in zip(column, row)) for column in weights]
+        for row in brackets
+    ]
     for m in range(top + 1):
-        column_sum = sum(row[m] for row in table.amplitudes)
-        if column_sum != (1 if m == 0 else 0):
+        column_sum = sum(row[m] for row in sums)
+        if column_sum != (common if m == 0 else 0):
             raise NormalizationError(
-                f"initial condition violated in column {m}: sum {column_sum}"
+                f"initial condition violated in column {m}: "
+                f"sum {Fraction(column_sum, common)}"
             )
-    return table
+    amplitudes = tuple(tuple(Fraction(s, common) for s in row) for row in sums)
+    multipliers = tuple(n * (N + 1 - n) - M * (N - M) for n in range(top + 1))
+    return AmplitudeTable(config, amplitudes, multipliers)
 
 
 def coefficients(table: AmplitudeTable, kt: float) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dotent.closed_form
+from dotent.analysis import find_max
 from dotent.closed_form import (
     ModelConfig,
     NormalizationError,
@@ -27,6 +30,7 @@ from dotent.closed_form import (
     spectrum_curve,
     trace_entanglement,
 )
+from dotent.combinatorics import binomial
 
 # Reference numbers computed once at 40-digit precision from the defining
 # expressions (Shannon entropy of exact rational weights, arcsine forms).
@@ -36,9 +40,35 @@ PEAK_ENTROPY_7 = 0.9996995428565171
 PEAK_ENTROPY_8 = 0.9886994082884975
 MES_TIME_6 = 0.4163485907994181
 
+# Sectors whose tables are checked term by term against the paper's formula.
+LARGE_SECTORS = [(40, 20), (41, 20), (60, 30), (100, 50)]
+
 configs_upto = lambda n_max: st.integers(1, n_max).flatmap(
     lambda n: st.integers(0, n).map(lambda m: ModelConfig(n, m))
 )
+
+
+def _paper_table(dots, excited):
+    """The paper's triple sum, one exact Fraction per term: the reference."""
+    N, M = dots, excited
+    top = min(M, N - M)
+    rows = []
+    for n in range(top + 1):
+        row = []
+        for m in range(top + 1):
+            acc = Fraction(0)
+            for k in range(m + 1):
+                bracket = binomial(N + 1 - 2 * k, n - k) - 2 * binomial(
+                    N - 2 * k, n - k - 1
+                )
+                acc += Fraction(
+                    (-1) ** k * binomial(m, k) * bracket,
+                    binomial(N - 2 * k, M - k),
+                )
+            row.append(acc)
+        rows.append(tuple(row))
+    multipliers = tuple(n * (N + 1 - n) - M * (N - M) for n in range(top + 1))
+    return tuple(rows), multipliers
 
 
 class TestModelConfig:
@@ -54,6 +84,35 @@ class TestModelConfig:
             ModelConfig(3, 4)
         with pytest.raises(ValueError):
             ModelConfig(3, -1)
+
+    @pytest.mark.parametrize(
+        "dots,excited",
+        [
+            (7.0, 3),
+            (7, 3.0),
+            (math.nan, 3),
+            (7, math.nan),
+            (True, 1),
+            (7, False),
+            ("7", 3),
+        ],
+        ids=["float", "float-M", "nan", "nan-M", "bool", "bool-M", "str"],
+    )
+    def test_non_integers_refused(self, dots, excited):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ModelConfig(dots, excited)
+
+    def test_numpy_integers_stored_as_int(self):
+        config = ModelConfig(np.int64(7), np.int32(3))
+        assert type(config.dots) is int and type(config.excitations) is int
+        assert config == ModelConfig(7, 3)
+
+    def test_peak_record_from_numpy_sizes_serializes(self):
+        record = find_max(ModelConfig(np.int64(7), 3))
+        assert json.loads(json.dumps(dataclasses.asdict(record)))["config"] == {
+            "dots": 7,
+            "excitations": 3,
+        }
 
 
 class TestAmplitudeTable:
@@ -78,6 +137,44 @@ class TestAmplitudeTable:
             for m in range(top + 1):
                 total = sum(row[m] for row in table.amplitudes)
                 assert total == (1 if m == 0 else 0)
+
+    @pytest.mark.parametrize("dots", range(1, 25))
+    def test_matches_paper_formula(self, dots):
+        for excited in range(dots + 1):
+            table = amplitude_table(ModelConfig(dots, excited))
+            assert (table.amplitudes, table.phase_multipliers) == _paper_table(
+                dots, excited
+            )
+
+    @pytest.mark.parametrize("dots,excited", LARGE_SECTORS)
+    def test_matches_paper_formula_at_large_size(self, dots, excited):
+        table = amplitude_table(ModelConfig(dots, excited))
+        assert (table.amplitudes, table.phase_multipliers) == _paper_table(
+            dots, excited
+        )
+
+    def test_binomial_calls_grow_quadratically(self, monkeypatch):
+        calls = []
+        real = dotent.closed_form.binomial
+
+        def counted(x, y):
+            calls.append((x, y))
+            return real(x, y)
+
+        monkeypatch.setattr(dotent.closed_form, "binomial", counted)
+        amplitude_table(ModelConfig(60, 30))
+        assert len(calls) <= 3 * 31**2
+
+    def test_corrupt_bracket_fails_the_construction_check(self, monkeypatch):
+        real = dotent.closed_form.binomial
+
+        def perturbed(x, y):
+            # C(7, 1) enters only the n = 1, k = 0 bracket of (6, 2)
+            return real(x, y) + (1 if (x, y) == (7, 1) else 0)
+
+        monkeypatch.setattr(dotent.closed_form, "binomial", perturbed)
+        with pytest.raises(NormalizationError, match="initial condition violated"):
+            amplitude_table(ModelConfig(6, 2))
 
     def test_phase_multipliers_formula(self):
         table = amplitude_table(ModelConfig(9, 4))
@@ -331,8 +428,6 @@ class TestPiTimeMagnitudes:
 
     @pytest.mark.parametrize("dots", [3, 5, 7, 9, 11, 13, 15])
     def test_weights_close_exactly(self, dots):
-        from dotent.combinatorics import binomial
-
         for m_exc in range(0, (dots - 1) // 2 + 1):
             mags = pi_time_magnitudes_exact(ModelConfig(dots, m_exc))
             total = sum(

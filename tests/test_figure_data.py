@@ -1,7 +1,10 @@
 """Every dataset of scripts/make_figure_data.py, regenerated against data/."""
 
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -29,6 +32,38 @@ def _runs():
 
 
 RUNS = _runs()
+
+
+def _data_stamps():
+    return {p.name: p.stat().st_mtime_ns for p in (ROOT / "data").iterdir()}
+
+
+def test_script_loads_from_a_clean_checkout(tmp_path):
+    # no PYTHONPATH and a foreign cwd: the script must find src/ by itself
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    script = str(ROOT / "scripts" / "make_figure_data.py")
+    probe = (
+        "import importlib.util, sys\n"
+        f"spec = importlib.util.spec_from_file_location('m', {script!r})\n"
+        "module = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(module)\n"
+        "print(len(module.RUNS), sys.modules['dotent'].__file__)\n"
+    )
+    before = _data_stamps()
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    count, origin = done.stdout.strip().split(" ", 1)
+    assert int(count) == 13
+    assert pathlib.Path(origin).is_relative_to(ROOT / "src")
+    assert _data_stamps() == before
+    assert list(tmp_path.iterdir()) == []
 
 
 def _table(path):
