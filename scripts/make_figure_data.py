@@ -32,13 +32,10 @@ RUNS = [
     ("trace_N11_M3.csv", ["trace", "--dots", "11", "--excited", "3",
                           "--periods", "1", "--steps", "2048"]),
     # peak entanglement across fillings and sizes
-    ("sweep_fillings_N10.csv", ["sweep", "--over-M", "--dots", "10"]),
-    ("sweep_sizes_M1.csv", ["sweep", "--over-N", "--excited", "1",
-                            "--dots", "2..40"]),
-    ("sweep_sizes_M2.csv", ["sweep", "--over-N", "--excited", "2",
-                            "--dots", "3..40"]),
-    ("sweep_sizes_half.csv", ["sweep", "--over-N", "--excited", "half",
-                              "--dots", "2..16"]),
+    ("sweep_fillings_N10.csv", ["sweep", "--dots", "10"]),
+    ("sweep_sizes_M1.csv", ["sweep", "--excited", "1", "--dots", "2..40"]),
+    ("sweep_sizes_M2.csv", ["sweep", "--excited", "2", "--dots", "3..40"]),
+    ("sweep_sizes_half.csv", ["sweep", "--excited", "half", "--dots", "2..16"]),
     # large-N decay of the peak: line through (N, 1/E_max)
     ("fit_M1.csv", ["fit", "--excited", "1", "--dots", "7..40"]),
     ("fit_M2.csv", ["fit", "--excited", "2", "--dots", "10..40"]),

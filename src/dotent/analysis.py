@@ -138,17 +138,16 @@ def sweep_over_M(dots: int) -> list[MaxEntanglementRecord]:
 def sweep_over_N(excitations: int | str, dots_values) -> list[MaxEntanglementRecord]:
     """Peak records across system sizes at fixed M, or at M = N // 2.
 
-    Pass excitations="half" for the half-filling mode.
+    Pass excitations="half" for the half-filling mode.  Every configuration
+    is built, and so checked, before the first search.
     """
-    dots_values = [int(n) for n in dots_values]
     if excitations == "half":
         configs = [ModelConfig(n, n // 2) for n in dots_values]
     else:
-        m = int(excitations)
-        for n in dots_values:
-            if n < max(2, m + 1):
-                raise ValueError(f"N={n} too small for M={m}")
-        configs = [ModelConfig(n, m) for n in dots_values]
+        configs = [ModelConfig(n, excitations) for n in dots_values]
+    for c in configs:
+        if c.dots < max(2, c.excitations + 1):
+            raise ValueError(f"N={c.dots} too small for M={c.excitations}")
     return [find_max(c) for c in configs]
 
 
@@ -156,12 +155,13 @@ def critical_N(excitations: int) -> int:
     """Smallest N beyond which the peak entanglement decays monotonically."""
     if excitations < 1:
         raise ValueError(f"need at least one excitation, got {excitations}")
-    return 6 if excitations == 1 else 2 * excitations + 5
+    M = ModelConfig(excitations, excitations).excitations
+    return 6 if M == 1 else 2 * M + 5
 
 
 def check_fit_domain(excitations: int, dots_values) -> list[int]:
-    """The sizes as ints, once they are enough and all past the critical size."""
-    dots_values = [int(n) for n in dots_values]
+    """The sizes, once they are enough, integers and all past the critical size."""
+    dots_values = list(dots_values)
     if len(dots_values) < 3:
         raise ValueError("need at least three sizes to fit")
     floor = critical_N(excitations)
@@ -170,26 +170,18 @@ def check_fit_domain(excitations: int, dots_values) -> list[int]:
         raise ValueError(
             f"fit domain must exceed the critical size {floor}, got {bad}"
         )
-    return dots_values
+    return [ModelConfig(n, excitations).dots for n in dots_values]
 
 
-def fit_inverse_linear(
-    excitations: int,
-    dots_values,
-    records: list[MaxEntanglementRecord] | None = None,
-) -> InverseLinearFit:
-    """Least-squares line through (N, 1 / E_max) beyond the critical size.
+def fit_inverse_linear(records: list[MaxEntanglementRecord]) -> InverseLinearFit:
+    """Least-squares line through (N, 1 / E_max) of a size sweep at one M.
 
-    Given `records` must be the sweep over `dots_values` at this M, in order.
+    The records' sizes must all lie beyond the critical size of their M.
     """
-    dots_values = check_fit_domain(excitations, dots_values)
-    if records is None:
-        records = sweep_over_N(excitations, dots_values)
-    got = [(r.config.dots, r.config.excitations) for r in records]
-    if got != [(n, excitations) for n in dots_values]:
-        raise ValueError(
-            f"records must be the sweep over N={dots_values} at M={excitations}"
-        )
+    fillings = {r.config.excitations for r in records}
+    if len(fillings) != 1:
+        raise ValueError(f"need records at one M, got M in {sorted(fillings)}")
+    dots_values = check_fit_domain(fillings.pop(), [r.config.dots for r in records])
     sizes = np.array(dots_values, dtype=float)
     ordinates = np.array([1.0 / r.E_max for r in records])
     design = np.vstack([sizes, np.ones_like(sizes)]).T

@@ -1,9 +1,9 @@
 """Command line emitting plot-ready CSV/JSON datasets.
 
 Every CSV starts with '#' comment lines carrying the run manifest as JSON,
-then a header row, then data rows.  Real numbers are printed with 15
-significant digits in scientific notation so reruns are byte-identical
-outside the manifest timestamp.
+then a header row, then data rows.  Sizes and fillings print as integers,
+every other number with 15 significant digits in scientific notation, so
+reruns are byte-identical outside the manifest timestamp.
 """
 
 from __future__ import annotations
@@ -60,24 +60,21 @@ def _manifest_line(command: str, parameters: dict) -> str:
     return "# " + json.dumps(manifest, sort_keys=True)
 
 
-def _fmt(x: float) -> str:
-    return f"{x + 0.0:.14e}"
+def _write_csv(path: str, manifest: str, columns, rows) -> None:
+    """Write the manifest, the header and the numeric rows to path ('-': stdout).
 
-
-@contextlib.contextmanager
-def _open_out(path: str):
+    Cells of the N and M columns print as %d, all others as %.14e; adding
+    0.0 prints -0.0 as 0.0.
+    """
+    line = ",".join("%d" if c in ("N", "M") else "%.14e" for c in columns) + "\n"
+    values = np.asarray(rows, dtype=float) + 0.0
     if path == "-":
-        yield sys.stdout
+        out = contextlib.nullcontext(sys.stdout)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as stream:
-            yield stream
-
-
-def _write_csv(stream, manifest: str, columns, rows) -> None:
-    stream.write(manifest + "\n")
-    stream.write(",".join(columns) + "\n")
-    for row in rows:
-        stream.write(",".join(row) + "\n")
+        out = open(path, "w", encoding="utf-8", newline="\n")
+    with out as stream:
+        stream.write(manifest + "\n" + ",".join(columns) + "\n")
+        stream.writelines(line % tuple(row) for row in values.tolist())
 
 
 def _parse_dots_spec(spec: str) -> list[int]:
@@ -153,17 +150,13 @@ def cmd_trace(args) -> int:
     config = ModelConfig(args.dots, args.excited)
     if args.steps < 2:
         raise ValueError(f"need at least 2 steps, got {args.steps}")
-    if args.periods is not None:
-        kt_max = args.periods * period(config)
-    elif args.kt_max is not None:
-        kt_max = args.kt_max
-    else:
-        raise ValueError("one of --kt-max or --periods is required")
+    kt_max = args.kt_max if args.periods is None else args.periods * period(config)
     if not (math.isfinite(kt_max) and kt_max > 0):
         raise ValueError(f"time window must be positive and finite, got {kt_max}")
-    times, entropies, weights = trace_entanglement(
-        config, np.linspace(0.0, kt_max, args.steps + 1)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        times, entropies, weights = trace_entanglement(
+            config, np.linspace(0.0, kt_max, args.steps + 1)
+        )
     manifest = _manifest_line(
         "trace",
         {
@@ -174,12 +167,11 @@ def cmd_trace(args) -> int:
         },
     )
     columns = ["kt", "E"] + [f"P_{m}" for m in range(config.m_prime + 1)]
-    # + 0.0 prints -0.0 as 0.0, as _fmt does; each row is one preformatted field.
-    values = np.column_stack([times, entropies, weights]) + 0.0
-    line = ",".join(["%.14e"] * len(columns))
-    rows = ([line % tuple(row)] for row in values.tolist())
-    with _open_out(args.out) as stream:
-        _write_csv(stream, manifest, columns, rows)
+    rows = np.column_stack([times, entropies, weights])
+    # kt times a large phase multiplier can overflow to inf, giving NaN.
+    if not np.isfinite(rows).all():
+        raise ValueError(f"time window {kt_max} too long: phases are not finite")
+    _write_csv(args.out, manifest, columns, rows)
     return EXIT_OK
 
 
@@ -189,54 +181,34 @@ def cmd_maxent(args) -> int:
     return EXIT_OK
 
 
-def _sweep_rows(records):
-    for r in records:
-        yield [
-            str(r.config.dots),
-            str(r.config.excitations),
-            _fmt(r.kt_star),
-            _fmt(r.E_max),
-            _fmt(r.e_max),
-            _fmt(r.E_MES),
-        ]
-
-
 def cmd_sweep(args) -> int:
+    """Sweep the sizes at fixed --excited, else every filling of one size."""
     sizes = _parse_dots_spec(args.dots)
-    if args.over_M:
-        if args.excited is not None:
-            raise ValueError("--excited applies to --over-N only")
-        if len(sizes) != 1:
-            raise ValueError("--over-M takes a single --dots value")
-        records = sweep_over_M(sizes[0])
-        parameters = {"mode": "over-M", "dots": sizes[0]}
-    else:
-        if args.excited is None:
-            raise ValueError("--over-N requires --excited")
+    if args.excited is not None:
         excited = args.excited if args.excited == "half" else int(args.excited)
         records = sweep_over_N(excited, sizes)
-        parameters = {"mode": "over-N", "dots": args.dots, "excited": args.excited}
-    manifest = _manifest_line("sweep", parameters)
+    elif len(sizes) == 1:
+        records = sweep_over_M(sizes[0])
+    else:
+        raise ValueError("a range of sizes needs --excited")
+    manifest = _manifest_line("sweep", {"dots": args.dots, "excited": args.excited})
     columns = ["N", "M", "kt_star", "E_max", "e_max", "E_MES"]
-    with _open_out(args.out) as stream:
-        _write_csv(stream, manifest, columns, _sweep_rows(records))
+    rows = [
+        (r.config.dots, r.config.excitations, r.kt_star, r.E_max, r.e_max, r.E_MES)
+        for r in records
+    ]
+    _write_csv(args.out, manifest, columns, rows)
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
     sizes = check_fit_domain(args.excited, _parse_dots_spec(args.dots))
     records = sweep_over_N(args.excited, sizes)
-    fit = fit_inverse_linear(args.excited, sizes, records=records)
+    fit = fit_inverse_linear(records)
     print(json.dumps(dataclasses.asdict(fit)))
-    manifest = _manifest_line(
-        "fit", {"excited": args.excited, "dots": args.dots}
-    )
-    columns = ["N", "inv_E_max"]
-    rows = (
-        [str(r.config.dots), _fmt(1.0 / r.E_max)] for r in records
-    )
-    with _open_out(args.out) as stream:
-        _write_csv(stream, manifest, columns, rows)
+    manifest = _manifest_line("fit", {"excited": args.excited, "dots": args.dots})
+    rows = [(r.config.dots, 1.0 / r.E_max) for r in records]
+    _write_csv(args.out, manifest, ["N", "inv_E_max"], rows)
     return EXIT_OK
 
 
@@ -257,12 +229,8 @@ def cmd_verify(args) -> int:
         {"max_dots": args.max_dots, "samples": args.samples, "tol": args.tol},
     )
     columns = ["N", "M", "kt", "E_analytical", "E_brute_force", "abs_diff"]
-    rows = (
-        [str(n), str(m), _fmt(kt), _fmt(a), _fmt(b), _fmt(abs(a - b))]
-        for n, m, kt, a, b in failures
-    )
-    with _open_out(args.out) as stream:
-        _write_csv(stream, manifest, columns, rows)
+    rows = [(*f, abs(f[3] - f[4])) for f in failures]
+    _write_csv(args.out, manifest, columns, rows)
     return EXIT_VERIFY_FAILED
 
 
@@ -276,9 +244,10 @@ def _build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser("trace", help="entropy and Schmidt weights over time")
     trace.add_argument("--dots", type=int, required=True)
     trace.add_argument("--excited", type=int, required=True)
-    trace.add_argument("--kt-max", type=float, default=None)
-    trace.add_argument(
-        "--periods", type=float, default=None,
+    window = trace.add_mutually_exclusive_group(required=True)
+    window.add_argument("--kt-max", type=float)
+    window.add_argument(
+        "--periods", type=float,
         help="time window as a multiple of the exact period",
     )
     trace.add_argument("--steps", type=int, required=True)
@@ -291,16 +260,13 @@ def _build_parser() -> argparse.ArgumentParser:
     maxent.set_defaults(func=cmd_maxent)
 
     sweep = sub.add_parser("sweep", help="peak records across fillings or sizes")
-    mode = sweep.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--over-M", dest="over_M", action="store_true")
-    mode.add_argument("--over-N", dest="over_N", action="store_true")
     sweep.add_argument(
         "--dots", required=True,
-        help="single size for --over-M, inclusive range like 2..31 for --over-N",
+        help="one size (every filling is swept) or a range like 2..31",
     )
     sweep.add_argument(
         "--excited", default=None,
-        help="excitation count for --over-N, or 'half' for M = N // 2",
+        help="sweep the sizes at this excitation count, or 'half' for M = N // 2",
     )
     sweep.add_argument("--out", default="-")
     sweep.set_defaults(func=cmd_sweep)

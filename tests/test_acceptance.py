@@ -124,7 +124,7 @@ def test_criterion_7_inverse_peak_grows_linearly():
         for excited in (1, 2, 3):
             sizes = list(range(critical_N(excited) + 1, 41))
             records = sweep_over_N(excited, sizes)
-            fit = fit_inverse_linear(excited, sizes, records=records)
+            fit = fit_inverse_linear(records)
             ordinates = [1.0 / r.E_max for r in records]
             assert fit.residual_rms < 0.01 * np.mean(ordinates)
             assert all(b > a for a, b in zip(ordinates, ordinates[1:]))

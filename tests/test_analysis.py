@@ -5,6 +5,7 @@ import pytest
 
 import dotent.analysis as analysis
 from dotent.analysis import (
+    check_fit_domain,
     critical_N,
     find_max,
     fit_inverse_linear,
@@ -179,6 +180,20 @@ class TestSweeps:
         with pytest.raises(ValueError):
             sweep_over_N(3, [3, 7])
 
+    @pytest.mark.parametrize(
+        "excited,sizes",
+        [(2, [10.9, 11.2]), (2.7, [10]), (2, [10, 11.5]), ("half", [10, 12.0])],
+    )
+    def test_fractional_input_refused_before_any_search(
+        self, monkeypatch, excited, sizes
+    ):
+        def no_search(config):
+            raise AssertionError(f"searched {config} before checking every size")
+
+        monkeypatch.setattr(analysis, "find_max", no_search)
+        with pytest.raises(ValueError, match="must be an integer"):
+            sweep_over_N(excited, sizes)
+
 
 class TestCriticalSize:
     def test_values(self):
@@ -190,40 +205,39 @@ class TestCriticalSize:
         with pytest.raises(ValueError):
             critical_N(0)
 
+    def test_fractional_filling_refused(self):
+        with pytest.raises(ValueError, match="must be an integer"):
+            critical_N(2.5)
+
 
 class TestInverseLinearFit:
     def test_single_excitation_to_forty(self):
         sizes = list(range(8, 41))
         records = sweep_over_N(1, sizes)
-        fit = fit_inverse_linear(1, sizes, records=records)
+        fit = fit_inverse_linear(records)
         ordinates = [1.0 / r.E_max for r in records]
         assert fit.slope > 0.0
         assert fit.residual_rms < 0.01 * np.mean(ordinates)
         assert fit.domain == tuple(sizes)
 
     def test_three_excited_slope_positive(self):
-        fit = fit_inverse_linear(3, range(12, 25))
+        fit = fit_inverse_linear(sweep_over_N(3, range(12, 25)))
         assert fit.slope > 0.0
         assert fit.residual_rms < 0.01
 
     def test_requires_enough_points(self):
         with pytest.raises(ValueError):
-            fit_inverse_linear(2, [10, 11])
+            fit_inverse_linear(sweep_over_N(2, [10, 11]))
 
     def test_requires_supercritical_domain(self):
         with pytest.raises(ValueError):
-            fit_inverse_linear(2, [8, 9, 10, 11])
+            fit_inverse_linear(sweep_over_N(2, [8, 9, 10, 11]))
 
-    @pytest.mark.parametrize(
-        "mangle",
-        [
-            lambda sizes: sweep_over_N(3, sizes),
-            lambda sizes: sweep_over_N(2, sizes)[::-1],
-            lambda sizes: sweep_over_N(2, sizes)[:-1],
-        ],
-        ids=["other_M", "reordered", "short"],
-    )
-    def test_records_must_match_the_domain(self, mangle):
-        sizes = list(range(12, 20))
-        with pytest.raises(ValueError, match="records must be"):
-            fit_inverse_linear(2, sizes, records=mangle(sizes))
+    def test_mixed_fillings_refused(self):
+        records = sweep_over_N(2, range(12, 16)) + sweep_over_N(3, range(16, 20))
+        with pytest.raises(ValueError, match="one M"):
+            fit_inverse_linear(records)
+
+    def test_fractional_sizes_refused(self):
+        with pytest.raises(ValueError, match="must be an integer"):
+            check_fit_domain(2, [10.5, 11.5, 12.5])

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -14,6 +16,7 @@ import dotent.cli as cli
 from dotent.closed_form import amplitude_table as real_amplitude_table
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{14}e[+-]\d{2,}$")
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def _bumped_table(config):
@@ -96,8 +99,23 @@ class TestTrace:
         assert code == 2
         assert "error" in err
 
+    def test_window_given_once(self, capsys):
+        code, out, err = run_cli(
+            capsys, "trace", "--dots", "7", "--excited", "1",
+            "--periods", "1", "--kt-max", "5", "--steps", "4",
+        )
+        assert code == 2
+        assert out == ""
+        assert "not allowed with argument" in err
+
+    # 1e308 periods overflow to an infinite window; a 1e308 window overflows
+    # kt times the phase multipliers.
     @pytest.mark.parametrize(
-        "window", [("--kt-max", "nan"), ("--kt-max", "inf"), ("--periods", "nan")]
+        "window",
+        [
+            ("--kt-max", "nan"), ("--kt-max", "inf"), ("--periods", "nan"),
+            ("--periods", "1e308"), ("--kt-max", "1e308"),
+        ],
     )
     def test_non_finite_window_rejected(self, capsys, window):
         code, out, err = run_cli(
@@ -133,15 +151,36 @@ class TestTrace:
         assert a.splitlines()[1:] == b.splitlines()[1:]
         assert "\r" not in a
 
-    def test_float_formatting(self, capsys):
-        _, out, _ = run_cli(
-            capsys, "trace", "--dots", "5", "--excited", "2",
-            "--kt-max", "2.0", "--steps", "8",
-        )
-        _, _, rows = parse_csv(out)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "--dots", "5", "--excited", "2", "--kt-max", "2.0",
+             "--steps", "8"],
+            ["sweep", "--dots", "6"],
+            ["sweep", "--excited", "half", "--dots", "2..7"],
+            ["fit", "--excited", "1", "--dots", "7..10"],
+            ["verify", "--max-dots", "3", "--samples", "4"],
+        ],
+        ids=["trace", "sweep-fillings", "sweep-sizes", "fit", "verify-failures"],
+    )
+    def test_float_formatting(self, capsys, monkeypatch, tmp_path, argv):
+        # The bumped table makes verify write a failure table, in which the
+        # analytical entropy of every sample reads nan.
+        if argv[0] == "verify":
+            monkeypatch.setattr(cli, "amplitude_table", _bumped_table)
+        out_path = tmp_path / "out.csv"
+        code, _, _ = run_cli(capsys, *argv, "--out", str(out_path))
+        assert code == (1 if argv[0] == "verify" else 0)
+        _, header, rows = parse_csv(out_path.read_text(encoding="utf-8"))
+        assert rows
         for row in rows:
-            for cell in row:
-                assert FLOAT_CELL.match(cell), cell
+            for column, cell in zip(header, row):
+                if column in ("N", "M"):
+                    assert re.match(r"^\d+$", cell), cell
+                elif column == "E_analytical" or column == "abs_diff":
+                    assert cell == "nan", cell
+                else:
+                    assert FLOAT_CELL.match(cell), cell
 
 
 class TestMaxent:
@@ -180,7 +219,7 @@ class TestMaxent:
 
 class TestSweep:
     def test_over_fillings(self, capsys):
-        code, out, _ = run_cli(capsys, "sweep", "--over-M", "--dots", "10")
+        code, out, _ = run_cli(capsys, "sweep", "--dots", "10")
         assert code == 0
         _, header, rows = parse_csv(out)
         assert header == ["N", "M", "kt_star", "E_max", "e_max", "E_MES"]
@@ -192,7 +231,7 @@ class TestSweep:
 
     def test_over_sizes_single_excitation(self, capsys):
         code, out, _ = run_cli(
-            capsys, "sweep", "--over-N", "--excited", "1", "--dots", "2..7",
+            capsys, "sweep", "--excited", "1", "--dots", "2..7",
         )
         assert code == 0
         _, _, rows = parse_csv(out)
@@ -203,7 +242,7 @@ class TestSweep:
 
     def test_over_sizes_half_filling_growth(self, capsys):
         code, out, _ = run_cli(
-            capsys, "sweep", "--over-N", "--excited", "half", "--dots", "2..13",
+            capsys, "sweep", "--excited", "half", "--dots", "2..13",
         )
         assert code == 0
         _, _, rows = parse_csv(out)
@@ -213,31 +252,19 @@ class TestSweep:
         assert np.all(np.diff(emax) > -1e-9)
         assert emax[-1] > emax[0] + 1.5
 
-    def test_over_fillings_rejects_excited(self, capsys):
-        code, _, _ = run_cli(
-            capsys, "sweep", "--over-M", "--dots", "10", "--excited", "2",
-        )
-        assert code == 2
-
     def test_over_sizes_requires_excited(self, capsys):
-        code, _, _ = run_cli(capsys, "sweep", "--over-N", "--dots", "2..7")
+        code, _, _ = run_cli(capsys, "sweep", "--dots", "2..7")
         assert code == 2
 
     def test_empty_range_rejected(self, capsys):
         code, _, _ = run_cli(
-            capsys, "sweep", "--over-N", "--excited", "1", "--dots", "7..3",
-        )
-        assert code == 2
-
-    def test_modes_are_exclusive(self, capsys):
-        code, _, _ = run_cli(
-            capsys, "sweep", "--over-M", "--over-N", "--dots", "5",
+            capsys, "sweep", "--excited", "1", "--dots", "7..3",
         )
         assert code == 2
 
     def test_bad_tolerance_is_usage_error(self, capsys):
         code, out, err = run_cli(
-            capsys, "sweep", "--over-N", "--excited", "1", "--dots", "2..40",
+            capsys, "sweep", "--excited", "1", "--dots", "2..40",
             "--tol", "-1",
         )
         assert code == 2
@@ -419,8 +446,8 @@ class TestVerify:
     "argv",
     [
         ["maxent", "--dots", "5", "--excited", "2", "--grid", "64"],
-        ["sweep", "--over-M", "--dots", "6", "--grid", "64"],
-        ["sweep", "--over-N", "--excited", "1", "--dots", "2..6", "--workers", "2"],
+        ["sweep", "--dots", "6", "--grid", "64"],
+        ["sweep", "--excited", "1", "--dots", "2..6", "--workers", "2"],
         ["fit", "--excited", "1", "--dots", "7..12", "--grid", "64"],
         ["fit", "--excited", "1", "--dots", "7..12", "--workers", "2"],
     ],
@@ -442,9 +469,10 @@ class TestEntryPoints:
         capsys.readouterr()
 
     def test_module_help(self):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "dotent", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "trace" in proc.stdout
