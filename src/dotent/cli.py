@@ -66,7 +66,7 @@ def _write_csv(path: str, manifest: str, columns, rows) -> None:
     Cells of the N and M columns print as %d, all others as %.14e; adding
     0.0 prints -0.0 as 0.0.
     """
-    line = ",".join("%d" if c in ("N", "M") else "%.14e" for c in columns) + "\n"
+    formats = ["%d" if c in ("N", "M") else "%.14e" for c in columns]
     values = np.asarray(rows, dtype=float) + 0.0
     if path == "-":
         out = contextlib.nullcontext(sys.stdout)
@@ -74,7 +74,75 @@ def _write_csv(path: str, manifest: str, columns, rows) -> None:
         out = open(path, "w", encoding="utf-8", newline="\n")
     with out as stream:
         stream.write(manifest + "\n" + ",".join(columns) + "\n")
-        stream.writelines(line % tuple(row) for row in values.tolist())
+        for start in range(0, len(values), CHUNK_ROWS):
+            stream.write(_csv_lines(values[start : start + CHUNK_ROWS], formats))
+
+
+CHUNK_ROWS = 4096  # rows per numpy pass; a chunk's byte buffer stays a few MB
+_TENS = np.array([float(f"1e{e}") for e in range(-8, 23)])  # exact from 1e0 on
+# The 4-byte words of a %.14e cell, in machine byte order; zero bytes are padding.
+_QUADS = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
+_QUADS = _QUADS.view(np.uint32).ravel()  # the four digits of 0..9999
+_HEAD, _TAIL, _EXPONENT = (
+    np.frombuffer("".join(texts).encode("ascii"), np.uint32)
+    for texts in (
+        [f"{sign}{d}.\0" for sign in "\0-" for d in range(10)],
+        [f"{d:02d}e{sign}" for sign in "+-" for d in range(100)],
+        [f"{e:02d}\0\0" for e in range(16)],
+    )
+)
+
+
+def _decimal(a):
+    """(D, E): a rounded half to even to 15 digits is D * 10**(E - 14), D int64.
+
+    For 1e-8 <= a < 1e15, 10**(14 - E) is a float64 and a * 10**(14 - E) is
+    exact as hi + lo.  No float lies between 10**E and its nearest float, so
+    comparing with that float finds E; one just below 10**E rounds up to 1e14.
+    """
+    e = np.clip(np.floor(np.log10(a)), -8, 14).astype(int)  # one off at worst
+    e = e + (a >= _TENS[e + 9]) - (a < _TENS[e + 8])
+    # Dekker's exact product (numpy has no FMA); a1, b1 keep 26 significant bits.
+    b = _TENS[22 - e]
+    a1, b1 = (x * 134217729.0 - (x * 134217729.0 - x) for x in (a, b))
+    hi = a * b
+    lo = ((a1 * b1 - hi) + a1 * (b - b1) + (a - a1) * b1) + (a - a1) * (b - b1)
+    # hi - n is exact, so each sum has the sign of a rounding decision.  An
+    # exact tie n +- 0.5 is a float (so hi, with lo = 0) that rint made even.
+    n = np.rint(hi)
+    n = n + ((hi - n - 0.5) + lo > 0) - ((hi - n + 0.5) + lo < 0)
+    carry = n == 1e15
+    return np.where(carry, 1e14, n).astype(np.int64), e + carry
+
+
+def _csv_lines(values, formats) -> str:
+    """CSV lines of a 2-D array, each cell byte-identical to formats[column] % cell.
+
+    %.14e cells with 1e-8 <= |x| < 1e15 are built from exact mantissas; Python
+    formats the rest (zero, NaN, inf, other scales, %d) one at a time.
+    """
+    a = np.abs(values)
+    kernel = (a >= 1e-8) & (a < 1e15) & [f == "%.14e" for f in formats]
+    columns, unscaled = np.nonzero(~kernel)[1].tolist(), values[~kernel].tolist()
+    others = [formats[c] % v for c, v in zip(columns, unscaled)]
+    # Whole words per cell, with room for the separator in the last byte.
+    width = 4 * max([6] + [len(s) // 4 + 1 for s in others])
+    cells = np.zeros(values.shape + (width,), np.uint8)
+    text = "".join(s.ljust(width, "\0") for s in others).encode("ascii")
+    cells[~kernel] = np.frombuffer(text, np.uint8).reshape(-1, width)
+    mantissa, exponent = _decimal(a[kernel])
+    words = np.empty((len(mantissa), 6), np.uint32)
+    lead, rest = np.divmod(mantissa, 10**14)
+    words[:, 0] = _HEAD[10 * (values[kernel] < 0) + lead]
+    for i, scale in enumerate((10**10, 10**6, 10**2), start=1):
+        quad, rest = np.divmod(rest, scale)
+        words[:, i] = _QUADS[quad]
+    words[:, 4] = _TAIL[100 * (exponent < 0) + rest]
+    words[:, 5] = _EXPONENT[np.abs(exponent)]
+    cells.view(np.uint32)[kernel, :6] = words
+    cells[..., -1] = ord(",")
+    cells[:, -1, -1] = ord("\n")
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _parse_dots_spec(spec: str) -> list[int]:
@@ -153,10 +221,15 @@ def cmd_trace(args) -> int:
     kt_max = args.kt_max if args.periods is None else args.periods * period(config)
     if not (math.isfinite(kt_max) and kt_max > 0):
         raise ValueError(f"time window must be positive and finite, got {kt_max}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        times, entropies, weights = trace_entanglement(
-            config, np.linspace(0.0, kt_max, args.steps + 1)
+    # M (N - M), the n = 0 harmonic's, is the largest |phase multiplier|.
+    step = math.ulp(kt_max) * max(1, args.excited * (args.dots - args.excited))
+    if step >= 1:
+        raise ValueError(
+            f"time window {kt_max} too long: adjacent times at its end differ by "
+            f"{step:.3g} rad of phase, beyond finite precision"
         )
+    kts = np.linspace(0.0, kt_max, args.steps + 1)
+    times, entropies, weights = trace_entanglement(config, kts)
     manifest = _manifest_line(
         "trace",
         {
@@ -168,9 +241,6 @@ def cmd_trace(args) -> int:
     )
     columns = ["kt", "E"] + [f"P_{m}" for m in range(config.m_prime + 1)]
     rows = np.column_stack([times, entropies, weights])
-    # kt times a large phase multiplier can overflow to inf, giving NaN.
-    if not np.isfinite(rows).all():
-        raise ValueError(f"time window {kt_max} too long: phases are not finite")
     _write_csv(args.out, manifest, columns, rows)
     return EXIT_OK
 

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -6,13 +8,16 @@ import pathlib
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dotent.analysis as analysis
 import dotent.cli as cli
+from dotent.closed_form import ModelConfig, trace_entanglement
 from dotent.closed_form import amplitude_table as real_amplitude_table
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{14}e[+-]\d{2,}$")
@@ -25,6 +30,23 @@ def _bumped_table(config):
     rows = [list(r) for r in table.amplitudes]
     rows[0][0] += Fraction(1, 7)
     return dataclasses.replace(table, amplitudes=tuple(tuple(r) for r in rows))
+
+
+def _reference_lines(columns, rows):
+    """Data lines as per-row '%' formatting prints them: the writer's reference."""
+    line = ",".join("%d" if c in ("N", "M") else "%.14e" for c in columns) + "\n"
+    values = np.asarray(rows, dtype=float) + 0.0
+    return "".join(line % tuple(row) for row in values.tolist())
+
+
+def _written_lines(columns, rows):
+    """Data lines as _write_csv prints them to stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write_csv("-", "# manifest", columns, rows)
+    manifest, header, lines = out.getvalue().split("\n", 2)
+    assert (manifest, header) == ("# manifest", ",".join(columns))
+    return lines
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +147,56 @@ class TestTrace:
         assert out == ""
         assert "finite" in err
 
+    # Adjacent float times at the window's end differ by a radian of phase or
+    # more.  Both exited 0: the first with a last time that reads back as inf,
+    # the second with meaningless weights.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--dots", "1", "--excited", "0", "--kt-max", "1.7976931348623151e+308",
+             "--steps", "2"],
+            ["--dots", "12", "--excited", "6", "--kt-max", "1e300", "--steps", "4"],
+        ],
+        ids=["max-float", "1e300"],
+    )
+    def test_window_beyond_phase_resolution_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, "trace", *argv)
+        assert code == 2
+        assert out == ""
+        assert "beyond finite precision" in err
+
+    @pytest.mark.parametrize("dots, excited", [(2, 1), (7, 3), (12, 6)])
+    def test_longest_window_resolves_a_radian(self, capsys, dots, excited):
+        multipliers = real_amplitude_table(ModelConfig(dots, excited)).phase_multipliers
+        fastest = max(abs(m) for m in multipliers)
+        # The first power of two at which the float spacing times fastest is 1.
+        limit = 2.0 ** math.ceil(52 - math.log2(fastest))
+        for kt_max, want in ((np.nextafter(limit, 0.0), 0), (limit, 2)):
+            code, out, _ = run_cli(
+                capsys, "trace", "--dots", str(dots), "--excited", str(excited),
+                "--kt-max", repr(float(kt_max)), "--steps", "2",
+            )
+            assert code == want, kt_max
+            assert (out == "") == (want == 2)
+
+    def test_rows_match_the_reference_bytes(self, capsys, tmp_path):
+        argv = ["trace", "--dots", "40", "--excited", "20", "--periods", "1",
+                "--steps", "3000"]
+        config = ModelConfig(40, 20)
+        kts = np.linspace(0.0, analysis.period(config), 3001)
+        times, entropies, weights = trace_entanglement(config, kts)
+        columns = ["kt", "E"] + [f"P_{m}" for m in range(21)]
+        rows = np.column_stack([times, entropies, weights])
+        want = ",".join(columns) + "\n" + _reference_lines(columns, rows)
+        # zeros at kt = 0 and weights below 1e-8 take the per-cell path
+        assert (rows == 0.0).any() and (np.abs(rows[rows != 0.0]) < 1e-8).any()
+        out_path = tmp_path / "trace.csv"
+        assert cli.main(argv + ["--out", str(out_path)]) == 0
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        for text in (out_path.read_text(encoding="utf-8"), out):
+            assert text.split("\n", 1)[1] == want
+
     def test_too_few_steps(self, capsys):
         code, _, _ = run_cli(
             capsys, "trace", "--dots", "6", "--excited", "2",
@@ -181,6 +253,104 @@ class TestTrace:
                     assert cell == "nan", cell
                 else:
                     assert FLOAT_CELL.match(cell), cell
+
+
+def _exact_ties():
+    """Dyadic rationals whose exact decimal expansion ends in a 5 at digit 16."""
+    values = [m * 2.0**e for e in range(-70, 60) for m in range(1, 300, 2)]
+    digits = [Decimal(v).as_tuple().digits for v in values]
+    return [v for v, d in zip(values, digits) if len(d) == 16 and d[-1] == 5]
+
+
+def _decade_neighbours():
+    """10**j and two float steps either side of it, for j in -40..20."""
+    values = []
+    for j in range(-40, 21):
+        below = above = float(f"1e{j}")
+        values.append(below)
+        for _ in range(2):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            values += [float(below), float(above)]
+    return values
+
+
+EDGE_CASES = {
+    "ties": (np.random.default_rng(0).integers(10**14, 10**15, 4000) + 0.5).tolist(),
+    "dyadic-ties": _exact_ties(),
+    "decades": _decade_neighbours(),
+    # digits 9.99999999999999|5.. may carry into the next decade
+    "round-up": [
+        float(f"9.99999999999999{tail}e{j}")
+        for tail in ("4", "49999", "5", "50001", "6", "9")
+        for j in range(-12, 17)
+    ],
+    "extremes": [
+        0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+        math.nan, math.inf, -math.inf, 1e-8, 9.999999999999999e-9, 1e15,
+        999999999999999.9,
+    ],
+}
+FLOAT = st.one_of(st.floats(), st.floats(-1e16, 1e16))
+
+
+class TestCsvWriter:
+    """_write_csv against the per-row '%' reference, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 10**6), FLOAT, FLOAT, FLOAT),
+            min_size=1, max_size=40,
+        )
+    )
+    def test_any_floats(self, rows):
+        columns = ["N", "kt", "E", "P_0"]
+        assert _written_lines(columns, rows) == _reference_lines(columns, rows)
+
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_edge_values(self, case):
+        columns = ["M", "x", "minus_x"]
+        rows = [(i, v, -v) for i, v in enumerate(EDGE_CASES[case])]
+        assert _written_lines(columns, rows) == _reference_lines(columns, rows)
+
+    # The exponent comes from floor(log10 |x|), corrected when it is one off;
+    # a biased log10 makes it one off either way for about half the cells.
+    @pytest.mark.parametrize("bias", [-0.5, 0.5])
+    def test_exponent_guess_one_off(self, monkeypatch, bias):
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + bias)
+        columns = ["x", "minus_x"]
+        rows = [(v, -v) for case in EDGE_CASES.values() for v in case]
+        assert _written_lines(columns, rows) == _reference_lines(columns, rows)
+
+    @pytest.mark.parametrize(
+        "count", [1, cli.CHUNK_ROWS - 1, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1]
+    )
+    def test_row_counts_around_a_chunk(self, count):
+        rng = np.random.default_rng(count)
+        scales = 10.0 ** rng.integers(-12, 17, (count, 3))
+        rows = rng.standard_normal((count, 3)) * scales
+        rows[::7, 1] = 0.0
+        rows[:, 2] = np.arange(count)
+        columns = ["kt", "E", "N"]
+        assert _written_lines(columns, rows) == _reference_lines(columns, rows)
+
+    def test_only_unscaled_cells_are_formatted_one_at_a_time(self):
+        formatted = []
+
+        class Logged(str):
+            def __mod__(self, value):
+                formatted.append(repr(value))
+                return str.__mod__(self, value)
+
+        scaled = [1e-8, 0.5, 2.0, 999999999999999.9, -3.25e-5, 9.999999999999995e-3]
+        unscaled = [0.0, math.nan, math.inf, -math.inf, 9.999999999999999e-9,
+                    5e-324, 1e15, -1.7976931348623157e308]
+        values = np.array(list(enumerate(scaled + unscaled)), dtype=float)
+        lines = cli._csv_lines(values, [Logged("%d"), Logged("%.14e")])
+        assert lines == _reference_lines(["N", "x"], values)
+        expected = [repr(float(i)) for i in range(len(values))]
+        assert sorted(formatted) == sorted(expected + [repr(v) for v in unscaled])
 
 
 class TestMaxent:
@@ -429,6 +599,16 @@ class TestVerify:
         _, header, rows = parse_csv(out)
         assert header == ["N", "M", "kt", "E_analytical", "E_brute_force", "abs_diff"]
         assert rows
+
+    def test_failure_rows_match_the_reference_bytes(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "amplitude_table", _bumped_table)
+        failures = cli.verification_failures(5, 8, 1e-9)
+        columns = ["N", "M", "kt", "E_analytical", "E_brute_force", "abs_diff"]
+        want = _reference_lines(columns, [(*f, abs(f[3] - f[4])) for f in failures])
+        assert "nan" in want
+        code, out, _ = run_cli(capsys, "verify", "--max-dots", "5", "--samples", "8")
+        assert code == 1
+        assert out.split("\n", 2)[2] == want
 
     def test_failure_table_goes_to_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "amplitude_table", _bumped_table)

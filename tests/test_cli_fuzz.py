@@ -13,7 +13,7 @@ import io
 import json
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dotent.cli as cli
 
@@ -66,7 +66,20 @@ def data_cells(out):
         steps=ints(-2, 64),
     ),
 )
+# Windows whose float spacing at the end spans a radian of phase or more: the
+# first printed a last time that reads back as inf, the second meaningless
+# weights, both with exit 0.
+@example(
+    window="kt-max",
+    texts={"dots": "1", "excited": "0", "length": "1.7976931348623151e+308",
+           "steps": "2"},
+)
+@example(
+    window="kt-max",
+    texts={"dots": "12", "excited": "6", "length": "1e300", "steps": "4"},
+)
 def test_trace(window, texts):
+    texts = dict(texts)  # an @example's dict is shared between runs
     texts[window] = texts.pop("length")
     code, out = run("trace", texts)
     assert code in (0, 2)
