@@ -28,11 +28,15 @@ from .analysis import (
     sweep_over_N,
 )
 from .closed_form import (
+    SPECTRUM_SUM_TOL,
     ModelConfig,
     NormalizationError,
+    _entropy,
     amplitude_table,
-    entanglement,
-    schmidt_spectrum,
+    as_integer,
+    entanglement,  # unused here; perfbench's tracer wraps it by this name
+    schmidt_spectrum,  # unused here; perfbench's tracer wraps it by this name
+    spectrum_curve,
     trace_entanglement,
 )
 from .oracle import (
@@ -162,25 +166,47 @@ def _oracle_comparisons(
     """The analytical entropy next to the brute-force one, for every sample.
 
     Returns one (N, M, kt, analytical, brute_force) tuple per sample of
-    every sector with 2 <= N <= max_dots; an analytical-side normalization
-    failure is recorded as NaN rather than raised, so a corrupt table
-    surfaces as a verification failure instead of a crash.  The brute force
-    evolves all of a sector's samples in one batch.  The size range, the
-    sample count and the tolerance the comparisons are judged by are all
-    checked before any work starts.
+    every sector with 2 <= N <= max_dots, in (N, M, kt) order.  Each sector
+    is evaluated analytically in one batch; a sample whose weights do not
+    sum to 1, or a table that fails its own normalization check, is
+    recorded as NaN rather than raised, so a corrupt table surfaces as a
+    verification failure instead of a crash.
+
+    The brute force runs once per complementary pair {M, N - M}: sector
+    (N, min(M, N - M)) is diagonalized, its samples evolved in one batch,
+    and the entropy of its first min(M, N - M) sites serves both sectors.
+    That is exact.  A global spin flip maps the (N, N - M) start state to
+    "last M sites excited" in sector (N, M); it is a product of local
+    unitaries and commutes with the hopping.  Reversing the site order
+    gives the (N, M) start state, and commutes with the hopping because
+    every dot couples equally to every other.  For a pure state the first
+    N - M sites and the last M carry the same entropy.  Both sectors have
+    the same period, so they share their sample times.
+
+    The size range, the sample count and the tolerance the comparisons
+    are judged by are all checked before any work starts.
     """
+    max_dots = as_integer("max dots", max_dots)
+    samples_per_period = as_integer("samples", samples_per_period)
     if not 2 <= max_dots <= DEFAULT_MAX_DOTS:
         raise ValueError(
             f"max dots must lie in 2..{DEFAULT_MAX_DOTS}, got {max_dots}"
         )
     if samples_per_period < 1:
         raise ValueError(f"need at least one sample, got {samples_per_period}")
-    if not (math.isfinite(tol) and tol > 0):
+    if isinstance(tol, bool) or not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     comparisons = []
     for dots in range(2, max_dots + 1):
+        brute = {}
         for excitations in range(0, dots + 1):
             config = ModelConfig(dots, excitations)
+            window = period(config) if config.m_prime else 2.0 * math.pi
+            kts = np.arange(samples_per_period) * window / samples_per_period
+            if excitations <= dots - excitations:
+                hamiltonian = build_hamiltonian(build_basis(dots, excitations))
+                entropies = reduced_entropy(evolve(hamiltonian, kts), excitations)
+                brute[excitations] = entropies.tolist()
             try:
                 table = amplitude_table(config)
             except NormalizationError:
@@ -188,16 +214,13 @@ def _oracle_comparisons(
                     (dots, excitations, float("nan"), float("nan"), float("nan"))
                 )
                 continue
-            window = period(config) if config.m_prime else 2.0 * math.pi
-            kts = np.arange(samples_per_period) * window / samples_per_period
-            hamiltonian = build_hamiltonian(build_basis(dots, excitations))
-            brute = reduced_entropy(evolve(hamiltonian, kts), excitations)
-            for kt, brute_force in zip(kts.tolist(), brute.tolist()):
-                try:
-                    analytical = entanglement(schmidt_spectrum(table, kt))
-                except NormalizationError:
-                    analytical = float("nan")
-                comparisons.append((dots, excitations, kt, analytical, brute_force))
+            weights = spectrum_curve(table, kts)
+            normalized = np.abs(weights.sum(axis=1) - 1.0) <= SPECTRUM_SUM_TOL
+            analytical = np.where(normalized, _entropy(weights), np.nan)
+            for kt, a, b in zip(
+                kts.tolist(), analytical.tolist(), brute[config.m_prime]
+            ):
+                comparisons.append((dots, excitations, kt, a, b))
     return comparisons
 
 

@@ -28,6 +28,19 @@ class NormalizationError(ArithmeticError):
     """Schmidt weights failed to sum to 1: the amplitude data is corrupt."""
 
 
+def as_integer(name: str, value) -> int:
+    """value as a plain int, if operator.index accepts it and it is no bool.
+
+    A float, NaN included, is refused rather than truncated.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return int(operator.index(value))
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """System size and excitation count: N dots, the first M excited."""
@@ -37,14 +50,7 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("dots", "excitations"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, bool):
-                    raise TypeError
-                number = int(operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-            object.__setattr__(self, name, number)
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.dots < 1:
             raise ValueError(f"need at least one dot, got {self.dots}")
         if not 0 <= self.excitations <= self.dots:

@@ -17,8 +17,14 @@ from hypothesis import given, settings, strategies as st
 
 import dotent.analysis as analysis
 import dotent.cli as cli
-from dotent.closed_form import ModelConfig, trace_entanglement
+from dotent.closed_form import (
+    ModelConfig,
+    entanglement,
+    schmidt_spectrum,
+    trace_entanglement,
+)
 from dotent.closed_form import amplitude_table as real_amplitude_table
+from dotent.oracle import build_basis, build_hamiltonian, evolve, reduced_entropy
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{14}e[+-]\d{2,}$")
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -558,17 +564,22 @@ class TestVerify:
         assert 0.0 <= float(match.group(1)) <= 1e-12
 
     def test_nan_sample_makes_the_margin_nan(self, capsys, monkeypatch):
-        def broken_spectrum(table, kt):
-            raise cli.NormalizationError("corrupt table")
+        real_spectrum_curve = cli.spectrum_curve
 
-        monkeypatch.setattr(cli, "schmidt_spectrum", broken_spectrum)
+        def broken_spectrum(table, kts):
+            # One un-normalized sample: its weights sum to 1.5, not 1.
+            weights = real_spectrum_curve(table, kts)
+            weights[-1] *= 1.5
+            return weights
+
+        monkeypatch.setattr(cli, "spectrum_curve", broken_spectrum)
         code, _, err = run_cli(
             capsys, "verify", "--max-dots", "3", "--samples", "2",
         )
         assert code == 1
         assert err.strip().endswith("max |diff| nan")
 
-    def test_oracle_runs_once_per_sector(self, capsys, monkeypatch):
+    def test_oracle_runs_once_per_complementary_pair(self, capsys, monkeypatch):
         calls = {"evolve": 0, "reduced_entropy": 0}
 
         def counted(name):
@@ -587,8 +598,54 @@ class TestVerify:
         )
         assert code == 0
         assert "36 samples" in err
-        # 3 + 4 + 5 sectors for N = 2, 3, 4
-        assert calls == {"evolve": 12, "reduced_entropy": 12}
+        # M <= N / 2: 2 + 2 + 3 sectors for N = 2, 3, 4
+        assert calls == {"evolve": 7, "reduced_entropy": 7}
+
+    def test_keeps_the_per_sector_per_sample_order_and_values(self):
+        comparisons = cli._oracle_comparisons(8, 5, 1e-9)
+        reference = []
+        for dots in range(2, 9):
+            for excitations in range(dots + 1):
+                config = ModelConfig(dots, excitations)
+                window = analysis.period(config) if config.m_prime else 2 * math.pi
+                kts = np.arange(5) * window / 5
+                hamiltonian = build_hamiltonian(build_basis(dots, excitations))
+                table = real_amplitude_table(config)
+                for kt in kts.tolist():
+                    analytical = entanglement(schmidt_spectrum(table, kt))
+                    brute = reduced_entropy(evolve(hamiltonian, kt), excitations)
+                    reference.append((dots, excitations, kt, analytical, float(brute)))
+        assert [c[:3] for c in comparisons] == [r[:3] for r in reference]
+        for got, want in zip(comparisons, reference):
+            assert abs(got[3] - want[3]) <= 1e-15
+            assert abs(got[4] - want[4]) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (4, 2.5, 1e-9),
+            (4, True, 1e-9),
+            (4, 3.0, 1e-9),
+            (4.0, 3, 1e-9),
+            (True, 3, 1e-9),
+            (float("nan"), 3, 1e-9),
+            (4, 3, True),
+        ],
+        ids=["fractional-samples", "bool-samples", "float-samples",
+             "float-dots", "bool-dots", "nan-dots", "bool-tol"],
+    )
+    def test_non_integer_arguments_refused_up_front(self, monkeypatch, args):
+        def no_build(basis):
+            raise AssertionError("built a Hamiltonian before checking arguments")
+
+        monkeypatch.setattr(cli, "build_hamiltonian", no_build)
+        with pytest.raises(ValueError, match="integer|tol"):
+            cli.verification_failures(*args)
+
+    def test_numpy_integers_accepted(self):
+        comparisons = cli._oracle_comparisons(np.int64(3), np.int32(2), 1e-9)
+        assert comparisons == cli._oracle_comparisons(3, 2, 1e-9)
+        assert all(type(c[0]) is int and type(c[1]) is int for c in comparisons)
 
     def test_corrupted_amplitudes_fail(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "amplitude_table", _bumped_table)

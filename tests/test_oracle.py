@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dotent.oracle as oracle
+from dotent.analysis import period
 from dotent.closed_form import ModelConfig, amplitude_table, spectrum_curve
 from dotent.oracle import (
     build_basis,
@@ -199,6 +200,31 @@ class TestReducedEntropy:
         weights = np.sort(spectrum_curve(amplitude_table(ModelConfig(dots, m_exc)), [kt])[0])
         assert np.abs(values[-len(weights):] - weights).max() < 1e-10
         assert values[: -len(weights)].sum() < 1e-10
+
+
+class TestComplementarySectors:
+    """Sector (N, N - M) repeats sector (N, M); verify diagonalizes only one."""
+
+    @pytest.mark.parametrize("dots", range(1, 11))
+    def test_hopping_matrix_is_the_reversed_partner(self, dots):
+        # The spin flip maps the ascending (N, M) basis onto the descending
+        # (N, N - M) one and commutes with the hopping.
+        for m_exc in range(dots + 1):
+            matrix = build_hamiltonian(build_basis(dots, m_exc)).matrix
+            partner = build_hamiltonian(build_basis(dots, dots - m_exc)).matrix
+            assert np.array_equal(partner, matrix[::-1, ::-1])
+
+    @pytest.mark.parametrize("dots", range(2, 11))
+    def test_entropies_agree_at_the_verify_sample_times(self, dots):
+        for m_exc in range(dots + 1):
+            config = ModelConfig(dots, m_exc)
+            window = period(config) if config.m_prime else 2.0 * math.pi
+            kts = np.arange(25) * window / 25  # verify's default sample count
+            entropy, partner = (
+                reduced_entropy(evolve(build_hamiltonian(build_basis(dots, m)), kts), m)
+                for m in (m_exc, dots - m_exc)
+            )
+            assert np.abs(entropy - partner).max() <= 1e-13
 
 
 class TestPipeline:
