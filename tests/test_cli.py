@@ -642,6 +642,13 @@ class TestVerify:
         with pytest.raises(ValueError, match="integer|tol"):
             cli.verification_failures(*args)
 
+    def test_benchmark_domain_agrees_to_round_off(self):
+        # verify --max-dots 12 --samples 25, the domain the benchmark runs
+        comparisons = cli._oracle_comparisons(12, 25, 1e-9)
+        assert len(comparisons) == 2200
+        assert cli._mismatches(comparisons, 1e-9) == []
+        assert np.abs([c[3] - c[4] for c in comparisons]).max() <= 1e-12
+
     def test_numpy_integers_accepted(self):
         comparisons = cli._oracle_comparisons(np.int64(3), np.int32(2), 1e-9)
         assert comparisons == cli._oracle_comparisons(3, 2, 1e-9)

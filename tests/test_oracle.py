@@ -66,7 +66,9 @@ class TestHamiltonian:
     def test_three_dots_one_excited(self):
         h = build_hamiltonian(build_basis(3, 1))
         assert np.array_equal(h.matrix, np.ones((3, 3)) - np.eye(3))
-        assert np.allclose(np.sort(h.eigensystem[0]), [-1.0, -1.0, 2.0])
+        # the start state reaches the symmetric 2 and one vector of the
+        # degenerate -1 pair
+        assert np.allclose(np.sort(h.eigensystem[0]), [-1.0, 2.0])
 
     @pytest.mark.parametrize("dots", range(1, 10))
     def test_entries_are_single_moves(self, dots):
@@ -89,15 +91,27 @@ class TestHamiltonian:
         assert np.array_equal(h, h.T)
         assert np.abs(np.diag(h)).max() == 0.0
 
-    @pytest.mark.parametrize("dots", range(2, 11))
+    @pytest.mark.parametrize("dots", range(1, 11))
     def test_contains_analytical_harmonics(self, dots):
-        # every integer phase multiplier of the analytical solution must
-        # appear (negated) in the sector spectrum
+        # the start state reaches m' + 1 eigenvalues, one per distinct
+        # integer phase multiplier of the analytical solution, negated
         for m_exc in range(0, dots + 1):
             table = amplitude_table(ModelConfig(dots, m_exc))
             values = build_hamiltonian(build_basis(dots, m_exc)).eigensystem[0]
-            for mult in table.phase_multipliers:
-                assert np.abs(values - (-mult)).min() < 1e-10
+            expected = np.sort(-np.array(table.phase_multipliers, dtype=float))
+            assert len(set(table.phase_multipliers)) == min(m_exc, dots - m_exc) + 1
+            assert len(values) == len(expected)
+            assert np.abs(np.sort(values) - expected).max() < 1e-10
+
+    def test_corrupted_matrix_raises(self):
+        # With the upper triangle doubled, H is not symmetric and the
+        # pairs from eigh of Q^T H Q are not eigenpairs of H.
+        h = build_hamiltonian(build_basis(6, 3))
+        matrix = np.array(h.matrix)
+        matrix[np.triu_indices(len(matrix), 1)] *= 2.0
+        corrupted = oracle.SectorHamiltonian(h.basis, matrix)
+        with pytest.raises(ArithmeticError, match="eigenpairs"):
+            corrupted.eigensystem
 
 
 class TestEvolution:
@@ -122,6 +136,19 @@ class TestEvolution:
         assert batch.shape == (len(kts), len(h.basis))
         for kt, row in zip(kts, batch):
             assert np.abs(row - evolve(h, kt).amplitudes).max() < 1e-14
+
+    @pytest.mark.parametrize("dots", range(1, 11))
+    def test_matches_full_diagonalization_at_the_verify_sample_times(self, dots):
+        # Reference: the state expanded in all eigenvectors of a full eigh.
+        for m_exc in range(dots + 1):
+            h = build_hamiltonian(build_basis(dots, m_exc))
+            config = ModelConfig(dots, m_exc)
+            window = period(config) if config.m_prime else 2.0 * math.pi
+            kts = np.arange(25) * window / 25  # verify's default sample count
+            values, vectors = np.linalg.eigh(h.matrix)
+            start = vectors[initial_state_index(h.basis)]
+            reference = (np.exp(-1j * np.multiply.outer(kts, values)) * start) @ vectors.T
+            assert np.abs(evolve(h, kts).amplitudes - reference).max() <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(-12.0, 12.0))
