@@ -532,6 +532,24 @@ class TestVerify:
         assert out == ""
         assert "2..16" in err
 
+    def test_does_not_import_numpy_ma(self):
+        # Plain np.unique(x) imports numpy.ma on first use, a cost every
+        # cold run would pay; the oracle avoids it.
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        probe = (
+            "import sys\n"
+            "from dotent.cli import main\n"
+            "assert main(['verify', '--max-dots', '6']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     def test_sample_count_covers_every_sector(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", "--max-dots", "4", "--samples", "3",

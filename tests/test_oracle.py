@@ -22,6 +22,14 @@ from dotent.oracle import (
 ENTROPY_5_2_AT_PI = 0.7254201904670346
 
 
+def dense(h):
+    """The d x d matrix of a hop table; a hop listed twice shows as 2."""
+    d = len(h.neighbors)
+    matrix = np.zeros((d, d))
+    np.add.at(matrix, (np.arange(d)[:, None], h.neighbors), 1.0)
+    return matrix
+
+
 class TestBasis:
     def test_two_dots_one_excited(self):
         assert build_basis(2, 1).states.tolist() == [0b01, 0b10]
@@ -60,12 +68,12 @@ class TestBasis:
 class TestHamiltonian:
     def test_two_dots_one_excited(self):
         h = build_hamiltonian(build_basis(2, 1))
-        assert np.array_equal(h.matrix, [[0.0, 1.0], [1.0, 0.0]])
+        assert np.array_equal(dense(h), [[0.0, 1.0], [1.0, 0.0]])
         assert np.allclose(np.sort(h.eigensystem[0]), [-1.0, 1.0])
 
     def test_three_dots_one_excited(self):
         h = build_hamiltonian(build_basis(3, 1))
-        assert np.array_equal(h.matrix, np.ones((3, 3)) - np.eye(3))
+        assert np.array_equal(dense(h), np.ones((3, 3)) - np.eye(3))
         # the start state reaches the symmetric 2 and one vector of the
         # degenerate -1 pair
         assert np.allclose(np.sort(h.eigensystem[0]), [-1.0, 2.0])
@@ -80,14 +88,14 @@ class TestHamiltonian:
             expected = [
                 [float(bin(a ^ b).count("1") == 2) for b in states] for a in states
             ]
-            assert np.array_equal(build_hamiltonian(basis).matrix, expected)
+            assert np.array_equal(dense(build_hamiltonian(basis)), expected)
 
     def test_frozen_sector_is_scalar_zero(self):
-        assert np.array_equal(build_hamiltonian(build_basis(4, 0)).matrix, [[0.0]])
+        assert np.array_equal(dense(build_hamiltonian(build_basis(4, 0))), [[0.0]])
 
     @pytest.mark.parametrize("dots,m_exc", [(5, 2), (6, 3), (7, 1)])
     def test_symmetric_zero_diagonal(self, dots, m_exc):
-        h = build_hamiltonian(build_basis(dots, m_exc)).matrix
+        h = dense(build_hamiltonian(build_basis(dots, m_exc)))
         assert np.array_equal(h, h.T)
         assert np.abs(np.diag(h)).max() == 0.0
 
@@ -103,13 +111,28 @@ class TestHamiltonian:
             assert len(values) == len(expected)
             assert np.abs(np.sort(values) - expected).max() < 1e-10
 
+    @pytest.mark.parametrize("dots", range(1, 10))
+    def test_neighbor_table_invariants(self, dots):
+        for m_exc in range(dots + 1):
+            table = build_hamiltonian(build_basis(dots, m_exc)).neighbors
+            d = math.comb(dots, m_exc)
+            assert table.shape == (d, m_exc * (dots - m_exc))
+            rows = [set(row) for row in table.tolist()]
+            assert all(len(row) == table.shape[1] for row in rows)
+            assert all(i not in row for i, row in enumerate(rows))
+            assert all(i in rows[j] for i, row in enumerate(rows) for j in row)
+
+    def test_neighbor_table_is_read_only(self):
+        with pytest.raises(ValueError):
+            build_hamiltonian(build_basis(4, 2)).neighbors[0, 0] = 0
+
     def test_corrupted_matrix_raises(self):
-        # With the upper triangle doubled, H is not symmetric and the
-        # pairs from eigh of Q^T H Q are not eigenpairs of H.
+        # Redirecting one hop of row 5 to row 0 breaks the symmetry of H,
+        # so the eigenpairs of the Lanczos tridiagonal are not those of H.
         h = build_hamiltonian(build_basis(6, 3))
-        matrix = np.array(h.matrix)
-        matrix[np.triu_indices(len(matrix), 1)] *= 2.0
-        corrupted = oracle.SectorHamiltonian(h.basis, matrix)
+        table = np.array(h.neighbors)
+        table[5, 0] = 0
+        corrupted = oracle.SectorHamiltonian(h.basis, table)
         with pytest.raises(ArithmeticError, match="eigenpairs"):
             corrupted.eigensystem
 
@@ -145,7 +168,7 @@ class TestEvolution:
             config = ModelConfig(dots, m_exc)
             window = period(config) if config.m_prime else 2.0 * math.pi
             kts = np.arange(25) * window / 25  # verify's default sample count
-            values, vectors = np.linalg.eigh(h.matrix)
+            values, vectors = np.linalg.eigh(dense(h))
             start = vectors[initial_state_index(h.basis)]
             reference = (np.exp(-1j * np.multiply.outer(kts, values)) * start) @ vectors.T
             assert np.abs(evolve(h, kts).amplitudes - reference).max() <= 1e-12
@@ -162,9 +185,10 @@ class TestEvolution:
     def test_energy_conserved(self, kt):
         h = build_hamiltonian(build_basis(8, 3))
         amps = evolve(h, kt).amplitudes
-        energy = np.vdot(amps, h.matrix @ amps).real
+        matrix = dense(h)
+        energy = np.vdot(amps, matrix @ amps).real
         start = initial_state_index(h.basis)
-        assert abs(energy - h.matrix[start, start]) < 1e-10
+        assert abs(energy - matrix[start, start]) < 1e-10
 
 
 class TestReducedEntropy:
@@ -237,8 +261,8 @@ class TestComplementarySectors:
         # The spin flip maps the ascending (N, M) basis onto the descending
         # (N, N - M) one and commutes with the hopping.
         for m_exc in range(dots + 1):
-            matrix = build_hamiltonian(build_basis(dots, m_exc)).matrix
-            partner = build_hamiltonian(build_basis(dots, dots - m_exc)).matrix
+            matrix = dense(build_hamiltonian(build_basis(dots, m_exc)))
+            partner = dense(build_hamiltonian(build_basis(dots, dots - m_exc)))
             assert np.array_equal(partner, matrix[::-1, ::-1])
 
     @pytest.mark.parametrize("dots", range(2, 11))
@@ -267,6 +291,16 @@ class TestPipeline:
 
     def test_five_two_at_pi(self):
         assert abs(oracle_entanglement(5, 2, math.pi) - ENTROPY_5_2_AT_PI) < 1e-9
+
+    @pytest.mark.parametrize("dots,m_exc", [(15, 7), (16, 8)])
+    def test_agrees_with_analytical_entropy_at_the_size_cap(self, dots, m_exc):
+        from dotent.closed_form import entropy_curve
+
+        kts = np.array([0.37, 1.3, 2.9])
+        state = evolve(build_hamiltonian(build_basis(dots, m_exc)), kts)
+        brute = reduced_entropy(state, m_exc)
+        analytical = entropy_curve(amplitude_table(ModelConfig(dots, m_exc)), kts)
+        assert np.abs(brute - analytical).max() < 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(
