@@ -67,11 +67,11 @@ def _manifest_line(command: str, parameters: dict) -> str:
 def _write_csv(path: str, manifest: str, columns, rows) -> None:
     """Write the manifest, the header and the numeric rows to path ('-': stdout).
 
-    Cells of the N and M columns print as %d, all others as %.14e; adding
-    0.0 prints -0.0 as 0.0.
+    Cells of the N and M columns print as %d, all others as %.14e, with -0.0
+    printed as 0.0.
     """
     formats = ["%d" if c in ("N", "M") else "%.14e" for c in columns]
-    values = np.asarray(rows, dtype=float) + 0.0
+    values = np.asarray(rows, dtype=float)
     if path == "-":
         out = contextlib.nullcontext(sys.stdout)
     else:
@@ -83,67 +83,114 @@ def _write_csv(path: str, manifest: str, columns, rows) -> None:
 
 
 CHUNK_ROWS = 4096  # rows per numpy pass; a chunk's byte buffer stays a few MB
-_TENS = np.array([float(f"1e{e}") for e in range(-8, 23)])  # exact from 1e0 on
-# The 4-byte words of a %.14e cell, in machine byte order; zero bytes are padding.
+# Decimal exponents E = -100..16 are indexed by E + 100; the kernel formats
+# cells with -99 <= E <= 14, and the two outer entries catch a one-off guess.
+_EXPONENTS = range(-100, 17)
+_TENS = np.array([float(f"1e{e}") for e in _EXPONENTS])
+# 10**(14 - E) as a double-double _POWERS + _LOWS; _LOWS is 0 for E >= -8.
+_POWERS = np.array([float(10 ** (14 - e)) for e in _EXPONENTS])
+_LOWS = np.array([float(10 ** (14 - e) - int(p)) for e, p in zip(_EXPONENTS, _POWERS)])
+_EXACT = 100 - 8  # index of E = -8, the smallest with an exact float 10**(14 - E)
+# Below _EXACT a rounding decision this close to a boundary goes to Python's %.
+_MARGIN = 1e-15
+# The 4-byte words of a %.14e cell in machine byte order: byte 0 holds the
+# sign, bytes 1..20 the text "d.dddddddddddddde+XX", zero bytes are padding.
 _QUADS = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
 _QUADS = _QUADS.view(np.uint32).ravel()  # the four digits of 0..9999
 _HEAD, _TAIL, _EXPONENT = (
     np.frombuffer("".join(texts).encode("ascii"), np.uint32)
     for texts in (
-        [f"{sign}{d}.\0" for sign in "\0-" for d in range(10)],
-        [f"{d:02d}e{sign}" for sign in "+-" for d in range(100)],
-        [f"{e:02d}\0\0" for e in range(16)],
+        # the sign and the first two digits; 100, a mantissa carried to 1e15, is 1.0
+        [
+            f"{sign}{t[0]}.{t[1]}"
+            for sign in "\0-"
+            for t in map("{:02d}".format, range(101))
+        ],
+        [f"{d}e{e:+03d}"[:4] for d in range(10) for e in _EXPONENTS],
+        [f"{abs(e) % 10}\0\0\0" for e in _EXPONENTS],
     )
 )
 
 
 def _decimal(a):
-    """(D, E): a rounded half to even to 15 digits is D * 10**(E - 14), D int64.
+    """(D, I, sure): a rounded half to even to 15 digits is D * 10**(I - 114).
 
-    For 1e-8 <= a < 1e15, 10**(14 - E) is a float64 and a * 10**(14 - E) is
-    exact as hi + lo.  No float lies between 10**E and its nearest float, so
-    comparing with that float finds E; one just below 10**E rounds up to 1e14.
+    D is an int64 in [1e14, 1e15], I = E + 100 indexes the decimal exponent E,
+    and both hold where sure is set, for every 1e-99 <= a < 1e15.  D = 1e15
+    is a mantissa that carried into the next decade, so E is one too low.
+
+    No float lies between 10**E and its nearest float, so comparing with that
+    float finds E; one just below 10**E rounds up to 1e14.  With 10**(14 - E)
+    = b + l, a * b = hi + lo exactly (Dekker's product; numpy has no FMA) and
+    hi - rint(hi) is exact.  For E >= -8, l = 0 and hi is a * b correctly
+    rounded, so only an exact half of hi can round either way.  Below, |lo|
+    <= 2**-4 and |a * l| < 0.112, so only |hi - rint(hi)| >= 0.25 needs the
+    error terms; no exact tie exists there (5**23 > 2e15), and a decision
+    within _MARGIN of its boundary is left unsure.
     """
-    e = np.clip(np.floor(np.log10(a)), -8, 14).astype(int)  # one off at worst
-    e = e + (a >= _TENS[e + 9]) - (a < _TENS[e + 8])
-    # Dekker's exact product (numpy has no FMA); a1, b1 keep 26 significant bits.
-    b = _TENS[22 - e]
-    a1, b1 = (x * 134217729.0 - (x * 134217729.0 - x) for x in (a, b))
+    i = (np.log10(a) + 100).astype(np.intp)  # one off at worst
+    i += a >= np.take(_TENS, i + 1)
+    i -= a < np.take(_TENS, i)
+    b = np.take(_POWERS, i)
     hi = a * b
-    lo = ((a1 * b1 - hi) + a1 * (b - b1) + (a - a1) * b1) + (a - a1) * (b - b1)
-    # hi - n is exact, so each sum has the sign of a rounding decision.  An
-    # exact tie n +- 0.5 is a float (so hi, with lo = 0) that rint made even.
     n = np.rint(hi)
-    n = n + ((hi - n - 0.5) + lo > 0) - ((hi - n + 0.5) + lo < 0)
-    carry = n == 1e15
-    return np.where(carry, 1e14, n).astype(np.int64), e + carry
+    near = np.flatnonzero(np.abs(hi - n) >= np.where(i < _EXACT, 0.25 - _MARGIN, 0.5))
+    sure = np.ones(a.shape, bool)
+    if len(near):
+        a, b, hi, k = a[near], b[near], hi[near], i[near]
+        # a1, b1 keep 26 significant bits.
+        a1, b1 = (x * 134217729.0 - (x * 134217729.0 - x) for x in (a, b))
+        lo = ((a1 * b1 - hi) + a1 * (b - b1) + (a - a1) * b1) + (a - a1) * (b - b1)
+        tail = lo + a * np.take(_LOWS, k)
+        d = hi - n[near]
+        up, down = (d - 0.5) + tail, (d + 0.5) + tail
+        n[near] += (up > 0).astype(float) - (down < 0)
+        sure[near] = (k >= _EXACT) | (np.minimum(np.abs(up), np.abs(down)) > _MARGIN)
+    return n.astype(np.int64), i, sure
 
 
 def _csv_lines(values, formats) -> str:
     """CSV lines of a 2-D array, each cell byte-identical to formats[column] % cell.
 
-    %.14e cells with 1e-8 <= |x| < 1e15 are built from exact mantissas; Python
-    formats the rest (zero, NaN, inf, other scales, %d) one at a time.
+    %.14e cells with 1e-99 <= |x| < 1e15 are built from exact mantissas in one
+    pass over the chunk; Python formats the rest one at a time: zero, NaN, inf,
+    three-digit exponents, |x| >= 1e15, %d cells, and the rare cell whose
+    rounding lies too close to a boundary to decide in floats.
     """
-    a = np.abs(values)
-    kernel = (a >= 1e-8) & (a < 1e15) & [f == "%.14e" for f in formats]
-    columns, unscaled = np.nonzero(~kernel)[1].tolist(), values[~kernel].tolist()
+    rows, cols = values.shape
+    a = np.abs(values).ravel()
+    kernel = (a >= 1e-99) & (a < 1e15) & np.tile([f == "%.14e" for f in formats], rows)
+    mantissa, index, sure = _decimal(np.where(kernel, a, 1.0))
+    kernel &= sure
+    negative = values.ravel() < 0
+    index += mantissa == 10**15
+    words = np.empty((rows * cols, 6), np.uint32)
+    rest = mantissa // 10
+    last = mantissa - 10 * rest
+    for column in (3, 2, 1):
+        quad = rest
+        rest = rest // 10**4
+        words[:, column] = np.take(_QUADS, quad - 10**4 * rest)
+    words[:, 0] = np.take(_HEAD, rest + 101 * negative)
+    words[:, 4] = np.take(_TAIL, len(_TENS) * last + index)
+    words[:, 5] = np.take(_EXPONENT, index)
+    cells = words.view(np.uint8).reshape(rows, cols, 24)
+    if kernel.all() and not negative.any():
+        # Every cell is the 20 characters at bytes 1..20: copy 21 of 24 bytes.
+        cells[..., 21] = ord(",")
+        cells[:, -1, 21] = ord("\n")
+        text = np.ndarray(rows * cols, "S21", cells, offset=1, strides=(24,))
+        return text.tobytes().decode("ascii")
+    where = np.flatnonzero(~kernel)
+    columns, unscaled = (where % cols).tolist(), (values.ravel()[where] + 0.0).tolist()
     others = [formats[c] % v for c, v in zip(columns, unscaled)]
     # Whole words per cell, with room for the separator in the last byte.
     width = 4 * max([6] + [len(s) // 4 + 1 for s in others])
-    cells = np.zeros(values.shape + (width,), np.uint8)
+    if width > 24:
+        padding = np.zeros((rows, cols, width - 24), np.uint8)
+        cells = np.concatenate([cells, padding], axis=2)
     text = "".join(s.ljust(width, "\0") for s in others).encode("ascii")
-    cells[~kernel] = np.frombuffer(text, np.uint8).reshape(-1, width)
-    mantissa, exponent = _decimal(a[kernel])
-    words = np.empty((len(mantissa), 6), np.uint32)
-    lead, rest = np.divmod(mantissa, 10**14)
-    words[:, 0] = _HEAD[10 * (values[kernel] < 0) + lead]
-    for i, scale in enumerate((10**10, 10**6, 10**2), start=1):
-        quad, rest = np.divmod(rest, scale)
-        words[:, i] = _QUADS[quad]
-    words[:, 4] = _TAIL[100 * (exponent < 0) + rest]
-    words[:, 5] = _EXPONENT[np.abs(exponent)]
-    cells.view(np.uint32)[kernel, :6] = words
+    cells.reshape(-1, width)[where] = np.frombuffer(text, np.uint8).reshape(-1, width)
     cells[..., -1] = ord(",")
     cells[:, -1, -1] = ord("\n")
     return cells.tobytes().translate(None, b"\0").decode("ascii")

@@ -194,7 +194,8 @@ class TestTrace:
         columns = ["kt", "E"] + [f"P_{m}" for m in range(21)]
         rows = np.column_stack([times, entropies, weights])
         want = ",".join(columns) + "\n" + _reference_lines(columns, rows)
-        # zeros at kt = 0 and weights below 1e-8 take the per-cell path
+        # zeros at kt = 0 take the per-cell path, weights below 1e-8 the
+        # kernel's double-double powers of ten
         assert (rows == 0.0).any() and (np.abs(rows[rows != 0.0]) < 1e-8).any()
         out_path = tmp_path / "trace.csv"
         assert cli.main(argv + ["--out", str(out_path)]) == 0
@@ -269,15 +270,34 @@ def _exact_ties():
 
 
 def _decade_neighbours():
-    """10**j and two float steps either side of it, for j in -40..20."""
+    """10**j and two float steps either side of it, for j in -101..20.
+
+    This spans the kernel's whole domain, from the 3-digit exponents below
+    1e-99 to the Python-formatted cells from 1e15 up.
+    """
     values = []
-    for j in range(-40, 21):
+    for j in range(-101, 21):
         below = above = float(f"1e{j}")
         values.append(below)
         for _ in range(2):
             below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
             values += [float(below), float(above)]
     return values
+
+
+def _decimal_halves():
+    """Floats nearest to d.ddddddddddddd5 * 10**E, and their neighbours.
+
+    One random 15-digit d per exponent E in -99..-9, where 10**(14 - E) is
+    no float and the kernel rounds on its double-double powers of ten.
+    """
+    digits = np.random.default_rng(1).integers(10**14, 10**15, 20 * 91).tolist()
+    values = np.array(
+        [float(f"{d}5e{e - 15}") for d, e in zip(digits, list(range(-99, -8)) * 20)]
+    )
+    return np.concatenate(
+        [values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)]
+    ).tolist()
 
 
 EDGE_CASES = {
@@ -288,8 +308,9 @@ EDGE_CASES = {
     "round-up": [
         float(f"9.99999999999999{tail}e{j}")
         for tail in ("4", "49999", "5", "50001", "6", "9")
-        for j in range(-12, 17)
+        for j in range(-99, 17)
     ],
+    "decimal-halves": _decimal_halves(),
     "extremes": [
         0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
         math.nan, math.inf, -math.inf, 1e-8, 9.999999999999999e-9, 1e15,
@@ -349,14 +370,31 @@ class TestCsvWriter:
                 formatted.append(repr(value))
                 return str.__mod__(self, value)
 
-        scaled = [1e-8, 0.5, 2.0, 999999999999999.9, -3.25e-5, 9.999999999999995e-3]
-        unscaled = [0.0, math.nan, math.inf, -math.inf, 9.999999999999999e-9,
-                    5e-324, 1e15, -1.7976931348623157e308]
+        scaled = [1e-8, 0.5, 2.0, 999999999999999.9, -3.25e-5, 9.999999999999995e-3,
+                  9.999999999999999e-9]
+        unscaled = [0.0, math.nan, math.inf, -math.inf, 5e-324,
+                    2.2250738585072014e-308, 1e15, -1.7976931348623157e308]
         values = np.array(list(enumerate(scaled + unscaled)), dtype=float)
         lines = cli._csv_lines(values, [Logged("%d"), Logged("%.14e")])
         assert lines == _reference_lines(["N", "x"], values)
         expected = [repr(float(i)) for i in range(len(values))]
         assert sorted(formatted) == sorted(expected + [repr(v) for v in unscaled])
+
+    def test_cells_too_close_to_call_fall_back_to_python(self, monkeypatch):
+        # A margin this wide leaves every rounding below 1e-8 undecided.
+        monkeypatch.setattr(cli, "_MARGIN", 1.0)
+        formatted = []
+
+        class Logged(str):
+            def __mod__(self, value):
+                formatted.append(value)
+                return str.__mod__(self, value)
+
+        values = [v for case in EDGE_CASES.values() for v in case]
+        values = np.array([v for v in values if 1e-99 <= abs(v) < 1e15])
+        lines = cli._csv_lines(values[:, None], [Logged("%.14e")])
+        assert lines == _reference_lines(["x"], values[:, None])
+        assert sorted(formatted) == sorted(values[np.abs(values) < 1e-8].tolist())
 
 
 class TestMaxent:
