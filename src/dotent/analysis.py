@@ -11,7 +11,9 @@ from .closed_form import (
     AmplitudeTable,
     ModelConfig,
     SchmidtSpectrum,
+    _at_least_two_dots,
     amplitude_table,
+    as_integer,
     entropy_curve,
     entropy_derivatives,
     mes_entropy,
@@ -130,8 +132,7 @@ def find_max(config: ModelConfig) -> MaxEntanglementRecord:
 
 def sweep_over_M(dots: int) -> list[MaxEntanglementRecord]:
     """Peak records for every nontrivial filling M = 1..N-1 of N dots."""
-    if dots < 2:
-        raise ValueError(f"need at least two dots, got {dots}")
+    dots = _at_least_two_dots(dots)
     return [find_max(ModelConfig(dots, m)) for m in range(1, dots)]
 
 
@@ -153,10 +154,10 @@ def sweep_over_N(excitations: int | str, dots_values) -> list[MaxEntanglementRec
 
 def critical_N(excitations: int) -> int:
     """Smallest N beyond which the peak entanglement decays monotonically."""
+    excitations = as_integer("excitations", excitations)
     if excitations < 1:
         raise ValueError(f"need at least one excitation, got {excitations}")
-    M = ModelConfig(excitations, excitations).excitations
-    return 6 if M == 1 else 2 * M + 5
+    return 6 if excitations == 1 else 2 * excitations + 5
 
 
 def check_fit_domain(excitations: int, dots_values) -> list[int]:

@@ -68,7 +68,8 @@ def _write_csv(path: str, manifest: str, columns, rows) -> None:
     """Write the manifest, the header and the numeric rows to path ('-': stdout).
 
     Cells of the N and M columns print as %d, all others as %.14e, with -0.0
-    printed as 0.0.
+    printed as 0.0.  Each CHUNK_ROWS rows go through one _csv_lines pass, so
+    a table with an N or M column is printed one row at a time by Python.
     """
     formats = ["%d" if c in ("N", "M") else "%.14e" for c in columns]
     values = np.asarray(rows, dtype=float)
@@ -93,21 +94,16 @@ _LOWS = np.array([float(10 ** (14 - e) - int(p)) for e, p in zip(_EXPONENTS, _PO
 _EXACT = 100 - 8  # index of E = -8, the smallest with an exact float 10**(14 - E)
 # Below _EXACT a rounding decision this close to a boundary goes to Python's %.
 _MARGIN = 1e-15
-# The 4-byte words of a %.14e cell in machine byte order: byte 0 holds the
-# sign, bytes 1..20 the text "d.dddddddddddddde+XX", zero bytes are padding.
+# The 4-byte words of a %.14e cell in machine byte order: "d.dd", three
+# words of four digits, "e+XX", and a last word whose first byte separates.
 _QUADS = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
 _QUADS = _QUADS.view(np.uint32).ravel()  # the four digits of 0..9999
-_HEAD, _TAIL, _EXPONENT = (
+_HEAD, _EXPONENT = (
     np.frombuffer("".join(texts).encode("ascii"), np.uint32)
     for texts in (
-        # the sign and the first two digits; 100, a mantissa carried to 1e15, is 1.0
-        [
-            f"{sign}{t[0]}.{t[1]}"
-            for sign in "\0-"
-            for t in map("{:02d}".format, range(101))
-        ],
-        [f"{d}e{e:+03d}"[:4] for d in range(10) for e in _EXPONENTS],
-        [f"{abs(e) % 10}\0\0\0" for e in _EXPONENTS],
+        # the first three digits; 1000, a mantissa carried to 1e15, is 1.00
+        [f"{t[0]}.{t[1:3]}" for t in map("{:03d}".format, range(1001))],
+        [f"e{e:+03d}"[:4] for e in _EXPONENTS],
     )
 )
 
@@ -149,51 +145,41 @@ def _decimal(a):
     return n.astype(np.int64), i, sure
 
 
-def _csv_lines(values, formats) -> str:
-    """CSV lines of a 2-D array, each cell byte-identical to formats[column] % cell.
+def _python_lines(values, formats) -> list[str]:
+    """Each row of a 2-D array as one line of Python's %, with -0.0 as 0.0."""
+    line = ",".join(formats) + "\n"
+    return [line % tuple(row) for row in (values + 0.0).tolist()]
 
-    %.14e cells with 1e-99 <= |x| < 1e15 are built from exact mantissas in one
-    pass over the chunk; Python formats the rest one at a time: zero, NaN, inf,
-    three-digit exponents, |x| >= 1e15, %d cells, and the rare cell whose
-    rounding lies too close to a boundary to decide in floats.
+
+def _csv_lines(values, formats) -> str:
+    """CSV lines of a 2-D array, each byte-identical to its _python_lines line.
+
+    A row of %.14e cells, all with 1e-99 <= x < 1e15, is built from exact
+    mantissas as fixed-width 21-byte cells.  Python prints every other row
+    whole: one with a zero, negative, NaN, inf, three-digit exponent,
+    x >= 1e15, or a rounding too close to a boundary to decide in floats,
+    and every row of a table with a %d column.
     """
     rows, cols = values.shape
-    a = np.abs(values).ravel()
-    kernel = (a >= 1e-99) & (a < 1e15) & np.tile([f == "%.14e" for f in formats], rows)
-    mantissa, index, sure = _decimal(np.where(kernel, a, 1.0))
-    kernel &= sure
-    negative = values.ravel() < 0
+    kernel = (values >= 1e-99) & (values < 1e15) & [f == "%.14e" for f in formats]
+    mantissa, index, sure = _decimal(np.where(kernel, values, 1.0).ravel())
     index += mantissa == 10**15
     words = np.empty((rows * cols, 6), np.uint32)
-    rest = mantissa // 10
-    last = mantissa - 10 * rest
     for column in (3, 2, 1):
-        quad = rest
-        rest = rest // 10**4
-        words[:, column] = np.take(_QUADS, quad - 10**4 * rest)
-    words[:, 0] = np.take(_HEAD, rest + 101 * negative)
-    words[:, 4] = np.take(_TAIL, len(_TENS) * last + index)
-    words[:, 5] = np.take(_EXPONENT, index)
+        mantissa, quad = np.divmod(mantissa, 10**4)
+        words[:, column] = np.take(_QUADS, quad)
+    words[:, 0] = np.take(_HEAD, mantissa)
+    words[:, 4] = np.take(_EXPONENT, index)
     cells = words.view(np.uint8).reshape(rows, cols, 24)
-    if kernel.all() and not negative.any():
-        # Every cell is the 20 characters at bytes 1..20: copy 21 of 24 bytes.
-        cells[..., 21] = ord(",")
-        cells[:, -1, 21] = ord("\n")
-        text = np.ndarray(rows * cols, "S21", cells, offset=1, strides=(24,))
-        return text.tobytes().decode("ascii")
-    where = np.flatnonzero(~kernel)
-    columns, unscaled = (where % cols).tolist(), (values.ravel()[where] + 0.0).tolist()
-    others = [formats[c] % v for c, v in zip(columns, unscaled)]
-    # Whole words per cell, with room for the separator in the last byte.
-    width = 4 * max([6] + [len(s) // 4 + 1 for s in others])
-    if width > 24:
-        padding = np.zeros((rows, cols, width - 24), np.uint8)
-        cells = np.concatenate([cells, padding], axis=2)
-    text = "".join(s.ljust(width, "\0") for s in others).encode("ascii")
-    cells.reshape(-1, width)[where] = np.frombuffer(text, np.uint8).reshape(-1, width)
-    cells[..., -1] = ord(",")
-    cells[:, -1, -1] = ord("\n")
-    return cells.tobytes().translate(None, b"\0").decode("ascii")
+    cells[..., 20] = ord(",")
+    cells[:, -1, 20] = ord("\n")
+    text = cells[..., :21].tobytes().decode("ascii")  # each cell's text and separator
+    python = np.flatnonzero(~(kernel.ravel() & sure).reshape(rows, cols).all(axis=1))
+    width, start, pieces = 21 * cols, 0, []
+    for row, line in zip(python.tolist(), _python_lines(values[python], formats)):
+        pieces += [text[start * width : row * width], line]
+        start = row + 1
+    return "".join(pieces) + text[start * width :]
 
 
 def _parse_dots_spec(spec: str) -> list[int]:

@@ -41,6 +41,14 @@ def as_integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _at_least_two_dots(dots) -> int:
+    """dots as a plain int, refused unless it is an integer of at least 2."""
+    dots = as_integer("dots", dots)
+    if dots < 2:
+        raise ValueError(f"need at least two dots, got {dots}")
+    return dots
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """System size and excitation count: N dots, the first M excited."""
@@ -245,8 +253,7 @@ def relative_entanglement(entropy: float, config: ModelConfig) -> float:
 
 def p1_single_excitation(dots: int, kt: float) -> float:
     """Weight of the transferred branch for a single initial excitation."""
-    if dots < 2:
-        raise ValueError(f"need at least two dots, got {dots}")
+    dots = _at_least_two_dots(dots)
     return 4.0 * (dots - 1) / dots**2 * math.sin(0.5 * dots * kt) ** 2
 
 
@@ -257,8 +264,7 @@ def entanglement_rate_m1(dots: int, kt: float) -> float:
     branch weight vanishes (kt a multiple of 2 pi / N) and wherever it
     reaches 1; the true limit is 0 at all of those points.
     """
-    if dots < 2:
-        raise ValueError(f"need at least two dots, got {dots}")
+    dots = _at_least_two_dots(dots)
     s2 = math.sin(0.5 * dots * kt) ** 2
     if s2 == 0.0:
         return 0.0
@@ -274,8 +280,7 @@ def mes_time_m1(dots: int) -> float | None:
     None when no real solution exists (dot counts above six never split
     the weight evenly).
     """
-    if dots < 2:
-        raise ValueError(f"need at least two dots, got {dots}")
+    dots = _at_least_two_dots(dots)
     x = 2.0 * math.sqrt(2.0 * (dots - 1.0)) / dots
     if x < 1.0:
         return None
@@ -287,8 +292,7 @@ def peak_entropy_m1(dots: int) -> float:
 
     For two dots the (N - 2)^2 log(N - 2) term is read as 0 log 0 = 0.
     """
-    if dots < 2:
-        raise ValueError(f"need at least two dots, got {dots}")
+    dots = _at_least_two_dots(dots)
     total = dots * dots * math.log2(dots) - 2.0 * (dots - 1.0) * math.log2(
         4.0 * (dots - 1.0)
     )

@@ -146,6 +146,16 @@ class TestSweeps:
         for r in records:
             assert r.E_max <= r.E_MES + 1e-12
 
+    @pytest.mark.parametrize(
+        "dots, message",
+        [(7.5, "must be an integer"), (math.nan, "must be an integer"),
+         (10.0, "must be an integer"), (1, "at least two dots"),
+         (-3, "at least two dots")],
+    )
+    def test_over_fillings_refuses_a_bad_size(self, dots, message):
+        with pytest.raises(ValueError, match=message):
+            sweep_over_M(dots)
+
     def test_over_fillings_two_dots(self):
         records = sweep_over_M(2)
         assert len(records) == 1
@@ -208,6 +218,12 @@ class TestCriticalSize:
     def test_fractional_filling_refused(self):
         with pytest.raises(ValueError, match="must be an integer"):
             critical_N(2.5)
+
+    # The refusal names the filling, not a dot count built from it.
+    @pytest.mark.parametrize("excitations", [2.0, math.nan, True, "2"])
+    def test_non_integer_filling_named_as_excitations(self, excitations):
+        with pytest.raises(ValueError, match="^excitations must be an integer"):
+            critical_N(excitations)
 
 
 class TestInverseLinearFit:

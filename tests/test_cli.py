@@ -55,6 +55,20 @@ def _written_lines(columns, rows):
     return lines
 
 
+@pytest.fixture
+def python_rows(monkeypatch):
+    """Every row the writer hands to Python's % instead of its kernel, in order."""
+    rows = []
+    python_lines = cli._python_lines
+
+    def logged(values, formats):
+        rows.extend(values.tolist())
+        return python_lines(values, formats)
+
+    monkeypatch.setattr(cli, "_python_lines", logged)
+    return rows
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -185,7 +199,9 @@ class TestTrace:
             assert code == want, kt_max
             assert (out == "") == (want == 2)
 
-    def test_rows_match_the_reference_bytes(self, capsys, tmp_path):
+    def test_rows_match_the_reference_bytes(
+        self, capsys, tmp_path, same_lines, python_rows
+    ):
         argv = ["trace", "--dots", "40", "--excited", "20", "--periods", "1",
                 "--steps", "3000"]
         config = ModelConfig(40, 20)
@@ -194,15 +210,18 @@ class TestTrace:
         columns = ["kt", "E"] + [f"P_{m}" for m in range(21)]
         rows = np.column_stack([times, entropies, weights])
         want = ",".join(columns) + "\n" + _reference_lines(columns, rows)
-        # zeros at kt = 0 take the per-cell path, weights below 1e-8 the
-        # kernel's double-double powers of ten
-        assert (rows == 0.0).any() and (np.abs(rows[rows != 0.0]) < 1e-8).any()
+        # Python prints the kt = 0 row, whose zeros the kernel cannot; the
+        # kernel prints every other row, weights below 1e-8 included, from
+        # its double-double powers of ten.
+        assert (rows[0] == 0.0).any() and (rows[1:] != 0.0).all()
+        assert (rows[1:] < 1e-8).any()
         out_path = tmp_path / "trace.csv"
         assert cli.main(argv + ["--out", str(out_path)]) == 0
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         for text in (out_path.read_text(encoding="utf-8"), out):
-            assert text.split("\n", 1)[1] == want
+            same_lines(text.split("\n", 1)[1], want)
+        assert python_rows == [rows[0].tolist()] * 2
 
     def test_too_few_steps(self, capsys):
         code, _, _ = run_cli(
@@ -318,83 +337,112 @@ EDGE_CASES = {
     ],
 }
 FLOAT = st.one_of(st.floats(), st.floats(-1e16, 1e16))
+# The cells the kernel prints: %.14e values with a two-digit exponent.
+IN_DOMAIN = st.floats(1e-99, 1e15, exclude_max=True)
+
+
+def _outside_the_kernel(rows):
+    """The rows with a cell outside [1e-99, 1e15), NaN included.
+
+    Where every rounding is decided, these are the rows Python prints.
+    """
+    rows = np.asarray(rows, dtype=float)
+    return rows[~((rows >= 1e-99) & (rows < 1e15)).all(axis=1)].tolist()
 
 
 class TestCsvWriter:
-    """_write_csv against the per-row '%' reference, byte for byte."""
+    """_write_csv against the per-row '%' reference, byte for byte.
+
+    A row of float columns whose cells all lie in [1e-99, 1e15) is built by
+    the kernel; Python prints every other row whole, and every row of a
+    table with an integer column.
+    """
 
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(
-            st.tuples(st.integers(0, 10**6), FLOAT, FLOAT, FLOAT),
-            min_size=1, max_size=40,
+            st.tuples(*[st.one_of(IN_DOMAIN, FLOAT)] * 3), min_size=1, max_size=40
         )
     )
-    def test_any_floats(self, rows):
-        columns = ["N", "kt", "E", "P_0"]
-        assert _written_lines(columns, rows) == _reference_lines(columns, rows)
+    def test_any_floats(self, same_lines, rows):
+        columns = ["kt", "E", "P_0"]
+        same_lines(_written_lines(columns, rows), _reference_lines(columns, rows))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 10**6), FLOAT, IN_DOMAIN), min_size=1, max_size=40
+        )
+    )
+    def test_any_floats_beside_an_integer_column(self, same_lines, rows):
+        columns = ["N", "kt", "E"]
+        same_lines(_written_lines(columns, rows), _reference_lines(columns, rows))
 
     @pytest.mark.parametrize("case", EDGE_CASES)
-    def test_edge_values(self, case):
+    def test_edge_values(self, same_lines, python_rows, case):
+        rows = [(v,) for v in EDGE_CASES[case]]
+        same_lines(_written_lines(["x"], rows), _reference_lines(["x"], rows))
+        np.testing.assert_array_equal(python_rows, _outside_the_kernel(rows))
+
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_negative_and_integer_rows_go_whole_through_python(
+        self, same_lines, python_rows, case
+    ):
         columns = ["M", "x", "minus_x"]
         rows = [(i, v, -v) for i, v in enumerate(EDGE_CASES[case])]
-        assert _written_lines(columns, rows) == _reference_lines(columns, rows)
+        same_lines(_written_lines(columns, rows), _reference_lines(columns, rows))
+        np.testing.assert_array_equal(python_rows, rows)
+        negated = [row[2:] for row in rows]
+        same_lines(_written_lines(["x"], negated), _reference_lines(["x"], negated))
+        assert len(python_rows) == 2 * len(rows)
 
-    # The exponent comes from floor(log10 |x|), corrected when it is one off;
+    # The exponent comes from floor(log10 x), corrected when it is one off;
     # a biased log10 makes it one off either way for about half the cells.
     @pytest.mark.parametrize("bias", [-0.5, 0.5])
-    def test_exponent_guess_one_off(self, monkeypatch, bias):
+    def test_exponent_guess_one_off(self, monkeypatch, same_lines, python_rows, bias):
         log10 = np.log10
         monkeypatch.setattr(np, "log10", lambda a: log10(a) + bias)
-        columns = ["x", "minus_x"]
-        rows = [(v, -v) for case in EDGE_CASES.values() for v in case]
-        assert _written_lines(columns, rows) == _reference_lines(columns, rows)
+        rows = [(v,) for case in EDGE_CASES.values() for v in case]
+        same_lines(_written_lines(["x"], rows), _reference_lines(["x"], rows))
+        np.testing.assert_array_equal(python_rows, _outside_the_kernel(rows))
 
     @pytest.mark.parametrize(
         "count", [1, cli.CHUNK_ROWS - 1, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1]
     )
-    def test_row_counts_around_a_chunk(self, count):
+    def test_row_counts_around_a_chunk(self, same_lines, python_rows, count):
         rng = np.random.default_rng(count)
         scales = 10.0 ** rng.integers(-12, 17, (count, 3))
-        rows = rng.standard_normal((count, 3)) * scales
+        rows = np.abs(rng.standard_normal((count, 3))) * scales
         rows[::7, 1] = 0.0
-        rows[:, 2] = np.arange(count)
-        columns = ["kt", "E", "N"]
-        assert _written_lines(columns, rows) == _reference_lines(columns, rows)
+        rows[::11, 2] *= -1.0
+        columns = ["kt", "E", "P_0"]
+        same_lines(_written_lines(columns, rows), _reference_lines(columns, rows))
+        assert python_rows == _outside_the_kernel(rows)
 
-    def test_only_unscaled_cells_are_formatted_one_at_a_time(self):
-        formatted = []
-
-        class Logged(str):
-            def __mod__(self, value):
-                formatted.append(repr(value))
-                return str.__mod__(self, value)
-
-        scaled = [1e-8, 0.5, 2.0, 999999999999999.9, -3.25e-5, 9.999999999999995e-3,
+    def test_only_rows_with_unscaled_cells_go_through_python(
+        self, same_lines, python_rows
+    ):
+        scaled = [1e-8, 0.5, 2.0, 999999999999999.9, 1e-99, 9.999999999999995e-3,
                   9.999999999999999e-9]
-        unscaled = [0.0, math.nan, math.inf, -math.inf, 5e-324,
-                    2.2250738585072014e-308, 1e15, -1.7976931348623157e308]
-        values = np.array(list(enumerate(scaled + unscaled)), dtype=float)
-        lines = cli._csv_lines(values, [Logged("%d"), Logged("%.14e")])
-        assert lines == _reference_lines(["N", "x"], values)
-        expected = [repr(float(i)) for i in range(len(values))]
-        assert sorted(formatted) == sorted(expected + [repr(v) for v in unscaled])
+        unscaled = [0.0, -0.0, -3.25e-5, math.nan, math.inf, -math.inf, 5e-324,
+                    9.999999999999999e-100, 1e15, -1.7976931348623157e308]
+        rows = [(v, 1.5) for v in scaled] + [(1.5, v) for v in unscaled]
+        rows = np.array(rows)[np.random.default_rng(0).permutation(len(rows))]
+        lines = cli._csv_lines(rows, ["%.14e", "%.14e"])
+        same_lines(lines, _reference_lines(["kt", "x"], rows))
+        np.testing.assert_array_equal(python_rows, _outside_the_kernel(rows))
+        assert len(python_rows) == len(unscaled)
 
-    def test_cells_too_close_to_call_fall_back_to_python(self, monkeypatch):
+    def test_cells_too_close_to_call_fall_back_to_python(
+        self, monkeypatch, same_lines, python_rows
+    ):
         # A margin this wide leaves every rounding below 1e-8 undecided.
         monkeypatch.setattr(cli, "_MARGIN", 1.0)
-        formatted = []
-
-        class Logged(str):
-            def __mod__(self, value):
-                formatted.append(value)
-                return str.__mod__(self, value)
-
-        values = [v for case in EDGE_CASES.values() for v in case]
-        values = np.array([v for v in values if 1e-99 <= abs(v) < 1e15])
-        lines = cli._csv_lines(values[:, None], [Logged("%.14e")])
-        assert lines == _reference_lines(["x"], values[:, None])
-        assert sorted(formatted) == sorted(values[np.abs(values) < 1e-8].tolist())
+        values = np.array([v for case in EDGE_CASES.values() for v in case])
+        values = values[(values >= 1e-99) & (values < 1e15)]
+        lines = cli._csv_lines(values[:, None], ["%.14e"])
+        same_lines(lines, _reference_lines(["x"], values[:, None]))
+        assert python_rows == [[v] for v in values.tolist() if v < 1e-8]
 
 
 class TestMaxent:
@@ -720,7 +768,9 @@ class TestVerify:
         assert header == ["N", "M", "kt", "E_analytical", "E_brute_force", "abs_diff"]
         assert rows
 
-    def test_failure_rows_match_the_reference_bytes(self, capsys, monkeypatch):
+    def test_failure_rows_match_the_reference_bytes(
+        self, capsys, monkeypatch, same_lines
+    ):
         monkeypatch.setattr(cli, "amplitude_table", _bumped_table)
         failures = cli.verification_failures(5, 8, 1e-9)
         columns = ["N", "M", "kt", "E_analytical", "E_brute_force", "abs_diff"]
@@ -728,7 +778,7 @@ class TestVerify:
         assert "nan" in want
         code, out, _ = run_cli(capsys, "verify", "--max-dots", "5", "--samples", "8")
         assert code == 1
-        assert out.split("\n", 2)[2] == want
+        same_lines(out.split("\n", 2)[2], want)
 
     def test_failure_table_goes_to_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "amplitude_table", _bumped_table)

@@ -326,6 +326,34 @@ class TestScalars:
             assert abs(p1 - p1_single_excitation(dots, kt)) < 1e-12
 
 
+# Every single-excitation formula takes N as an integer of at least 2; a
+# fractional or NaN size is refused, not evaluated.
+M1_FORMULAS = {
+    "p1_single_excitation": lambda dots: p1_single_excitation(dots, 0.3),
+    "entanglement_rate_m1": lambda dots: entanglement_rate_m1(dots, 0.3),
+    "mes_time_m1": mes_time_m1,
+    "peak_entropy_m1": peak_entropy_m1,
+}
+
+
+@pytest.mark.parametrize("formula", M1_FORMULAS)
+@pytest.mark.parametrize(
+    "dots, message",
+    [(7.5, "dots must be an integer"), (5.5, "dots must be an integer"),
+     (4.0, "dots must be an integer"), (math.nan, "dots must be an integer"),
+     (True, "dots must be an integer"), (1, "at least two dots"),
+     (0, "at least two dots"), (-2, "at least two dots")],
+)
+def test_single_excitation_formulas_refuse_a_bad_size(formula, dots, message):
+    with pytest.raises(ValueError, match=message):
+        M1_FORMULAS[formula](dots)
+
+
+@pytest.mark.parametrize("formula", M1_FORMULAS)
+def test_single_excitation_formulas_take_numpy_integers(formula):
+    assert M1_FORMULAS[formula](np.int64(7)) == M1_FORMULAS[formula](7)
+
+
 class TestRate:
     def test_zero_at_start(self):
         assert entanglement_rate_m1(5, 0.0) == 0.0

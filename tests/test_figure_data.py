@@ -99,7 +99,7 @@ def test_regenerated_dataset_matches_data(tmp_path, name, argv):
 
 
 @pytest.mark.parametrize("name", [name for name, _ in RUNS])
-def test_published_rows_round_trip_through_the_writer(name):
+def test_published_rows_round_trip_through_the_writer(same_lines, name):
     # 15 significant digits round-trip through float64, so the parsed cells
     # must format back to the published bytes, whatever machine made them.
     lines = (ROOT / "data" / name).read_text(encoding="utf-8").splitlines(True)
@@ -109,4 +109,4 @@ def test_published_rows_round_trip_through_the_writer(name):
         for column in header.rstrip("\n").split(",")
     ]
     values = np.array([row.split(",") for row in rows], dtype=float)
-    assert _csv_lines(values, formats) == "".join(rows)
+    same_lines(_csv_lines(values, formats), "".join(rows))
