@@ -14,6 +14,7 @@ from .closed_form import (
     _at_least_two_dots,
     amplitude_table,
     as_integer,
+    derivative_basis,
     entropy_curve,
     entropy_derivatives,
     mes_entropy,
@@ -76,36 +77,8 @@ def _grid_size(table: AmplitudeTable, T: float) -> int:
     return max(_MIN_GRID_POINTS, math.ceil(_SAMPLES_PER_CYCLE * cycles))
 
 
-def _refine_peaks(table, kts, peaks) -> np.ndarray:
-    """Maximize E near each grid peak kts[i], inside [kts[i - 1], kts[i + 1]].
-
-    All peaks move together by a safeguarded Newton iteration on E': the
-    sign of E' narrows each bracket, and a peak takes its Newton step when
-    E'' < 0 and the step stays inside its bracket, else it bisects.
-    """
-    x, lo, hi = kts[peaks], kts[peaks - 1], kts[peaks + 1]
-    for _ in range(_MAX_REFINE_STEPS):
-        _, d1, d2 = entropy_derivatives(table, x)
-        lo = np.where(d1 > 0.0, x, lo)
-        hi = np.where(d1 < 0.0, x, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = x - d1 / d2
-        safe = (d2 < 0.0) & (newton >= lo) & (newton <= hi)
-        moved = np.where(safe, newton, 0.5 * (lo + hi))
-        converged = np.all(np.abs(moved - x) <= _REFINE_TOL)
-        x = moved
-        if converged:
-            break
-    return x
-
-
-def find_max(config: ModelConfig) -> MaxEntanglementRecord:
-    """Locate the entanglement maximum over one exact period.
-
-    Every interior peak of a grid sized by the spectrum's bandwidth is
-    refined, then the best refined value wins; among peaks equal within
-    tolerance the earliest time is returned.
-    """
+def _grid_peaks(config: ModelConfig):
+    """Table, coarse grid and interior grid peaks of one configuration."""
     T = period(config)
     table = amplitude_table(config)
     kts = np.linspace(0.0, T, _grid_size(table, T) + 1)
@@ -113,7 +86,54 @@ def find_max(config: ModelConfig) -> MaxEntanglementRecord:
     peaks = np.flatnonzero(
         (coarse[1:-1] >= coarse[:-2]) & (coarse[1:-1] >= coarse[2:])
     ) + 1
-    refined = _refine_peaks(table, kts, peaks)
+    return table, kts, peaks
+
+
+def _refine_rank(starts) -> list[np.ndarray]:
+    """Maximize E near every grid peak of same-rank searches, all at once.
+
+    starts holds one (table, kts, peaks) per search.  The tables share their
+    rank, so their arrays stack without padding along the harmonics; a
+    search with fewer peaks repeats its first peak, which moves in step
+    with it.  Peak kts[i] is bracketed by [kts[i - 1], kts[i + 1]] and moves
+    by a safeguarded Newton iteration on E': the sign of E' narrows the
+    bracket, and the peak takes its Newton step when E'' < 0 and the step
+    stays inside its bracket, else it bisects.  A search leaves the batch
+    once every one of its own peaks has stepped by at most _REFINE_TOL.
+    """
+    tables = [table for table, _, _ in starts]
+    mult = np.stack([t.multipliers for t in tables])
+    basis = np.stack([derivative_basis(t) for t in tables])
+    factors = np.stack([t.weight_factors for t in tables])
+    count, width = len(starts), max(len(peaks) for _, _, peaks in starts)
+    x, lo, hi = (np.empty((count, width)) for _ in range(3))
+    for g, (_, kts, peaks) in enumerate(starts):
+        at = np.full(width, peaks[0])
+        at[: len(peaks)] = peaks
+        x[g], lo[g], hi[g] = kts[at], kts[at - 1], kts[at + 1]
+    refined = np.empty((count, width))
+    live = np.arange(count)
+    for _ in range(_MAX_REFINE_STEPS):
+        _, d1, d2 = entropy_derivatives(mult, basis, factors, x)
+        lo = np.where(d1 > 0.0, x, lo)
+        hi = np.where(d1 < 0.0, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - d1 / d2
+        safe = (d2 < 0.0) & (newton >= lo) & (newton <= hi)
+        moved = np.where(safe, newton, 0.5 * (lo + hi))
+        keep = ~np.all(np.abs(moved - x) <= _REFINE_TOL, axis=1)
+        x = refined[live] = moved
+        if not keep.all():
+            live, x, lo, hi, mult, basis, factors = (
+                a[keep] for a in (live, x, lo, hi, mult, basis, factors)
+            )
+            if not live.size:
+                break
+    return [xs[: len(peaks)] for xs, (_, _, peaks) in zip(refined, starts)]
+
+
+def _record(config, table, refined) -> MaxEntanglementRecord:
+    """The record of the best refined peak, the earliest among near-ties."""
     values = entropy_curve(table, refined)
     best = values.max()
     kt_star, E_max = min(
@@ -130,10 +150,35 @@ def find_max(config: ModelConfig) -> MaxEntanglementRecord:
     )
 
 
+def find_maxima(configs) -> list[MaxEntanglementRecord]:
+    """Locate the entanglement maximum of each configuration over one exact period.
+
+    Every interior peak of a grid sized by the spectrum's bandwidth is
+    refined, all searches of one rank m' together, then the best refined
+    value wins; among peaks equal within tolerance the earliest time is
+    returned.
+    """
+    configs = list(configs)
+    starts = [_grid_peaks(c) for c in configs]
+    refined: list = [None] * len(configs)
+    for rank in {c.m_prime for c in configs}:
+        members = [i for i, c in enumerate(configs) if c.m_prime == rank]
+        for i, xs in zip(members, _refine_rank([starts[i] for i in members])):
+            refined[i] = xs
+    return [
+        _record(c, table, xs) for c, (table, _, _), xs in zip(configs, starts, refined)
+    ]
+
+
+def find_max(config: ModelConfig) -> MaxEntanglementRecord:
+    """Locate the entanglement maximum of one configuration over one exact period."""
+    return find_maxima([config])[0]
+
+
 def sweep_over_M(dots: int) -> list[MaxEntanglementRecord]:
     """Peak records for every nontrivial filling M = 1..N-1 of N dots."""
     dots = _at_least_two_dots(dots)
-    return [find_max(ModelConfig(dots, m)) for m in range(1, dots)]
+    return find_maxima(ModelConfig(dots, m) for m in range(1, dots))
 
 
 def sweep_over_N(excitations: int | str, dots_values) -> list[MaxEntanglementRecord]:
@@ -149,7 +194,7 @@ def sweep_over_N(excitations: int | str, dots_values) -> list[MaxEntanglementRec
     for c in configs:
         if c.dots < max(2, c.excitations + 1):
             raise ValueError(f"N={c.dots} too small for M={c.excitations}")
-    return [find_max(c) for c in configs]
+    return find_maxima(configs)
 
 
 def critical_N(excitations: int) -> int:

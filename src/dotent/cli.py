@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -360,7 +361,9 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line, built once per process; parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="dotent",
         description="Entanglement dynamics of equally coupled spin-1/2 dots",

@@ -188,28 +188,40 @@ def entropy_curve(table: AmplitudeTable, kts) -> np.ndarray:
     return _entropy(spectrum_curve(table, kts))
 
 
-def entropy_derivatives(
-    table: AmplitudeTable, kts
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entropy E and its first two kt-derivatives for every time in kts.
+def derivative_basis(table: AmplitudeTable) -> np.ndarray:
+    """The K x 3K matrix [mix | i mult mix | -mult**2 mix] of one table.
 
-    Each branch coefficient c is a trigonometric polynomial, so c' and c''
-    come from the same phase matrix with the harmonics weighted by
-    i * multiplier and -multiplier**2.  Branches of zero weight add
-    nothing, as in the entropy itself.
+    Each branch coefficient c is a trigonometric polynomial, so one product
+    of the phase matrix with this basis gives c, c' and c'' side by side.
     """
-    phases = _phases(table, kts)
     mult, mix = table.multipliers[:, None], table.mixing
-    c, c1, c2 = (phases @ (h * mix) for h in (1.0, 1j * mult, -mult * mult))
-    f = table.weight_factors
+    return np.concatenate([h * mix for h in (1.0, 1j * mult, -mult * mult)], axis=1)
+
+
+def entropy_derivatives(
+    multipliers: np.ndarray, basis: np.ndarray, weight_factors: np.ndarray, kts
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entropy E and its first two kt-derivatives, for stacks of same-rank tables.
+
+    multipliers and weight_factors are (..., K), basis is the (..., K, 3K)
+    `derivative_basis` and kts is (..., P); each result is (..., P), and
+    every leading index is one table with its own times.  Branches of zero
+    weight add nothing, as in the entropy itself.
+    """
+    kts = np.asarray(kts, dtype=float)
+    phases = np.exp(1j * (kts[..., :, None] * multipliers[..., None, :]))
+    K = multipliers.shape[-1]
+    both = phases @ basis
+    c, c1, c2 = both[..., :K], both[..., K : 2 * K], both[..., 2 * K :]
+    f = weight_factors[..., None, :]
     w = f * np.abs(c) ** 2
     w1 = 2.0 * f * (c.conj() * c1).real
     w2 = 2.0 * f * (np.abs(c1) ** 2 + (c.conj() * c2).real)
     # d(w ln w)/dw = ln w + 1, masked to 0 on empty branches (there w' = 0 too)
     safe = np.where(w > 0.0, w, 1.0)
     slope = np.where(w > 0.0, np.log(safe) + 1.0, 0.0)
-    d1 = -np.sum(w1 * slope, axis=1) / math.log(2.0)
-    d2 = -np.sum(w2 * slope + w1 * w1 / safe, axis=1) / math.log(2.0)
+    d1 = -np.sum(w1 * slope, axis=-1) / math.log(2.0)
+    d2 = -np.sum(w2 * slope + w1 * w1 / safe, axis=-1) / math.log(2.0)
     return _entropy(w), d1, d2
 
 

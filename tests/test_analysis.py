@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -8,11 +10,13 @@ from dotent.analysis import (
     check_fit_domain,
     critical_N,
     find_max,
+    find_maxima,
     fit_inverse_linear,
     period,
     sweep_over_M,
     sweep_over_N,
 )
+from dotent.cli import _parse_dots_spec
 from dotent.closed_form import (
     ModelConfig,
     amplitude_table,
@@ -197,12 +201,66 @@ class TestSweeps:
     def test_fractional_input_refused_before_any_search(
         self, monkeypatch, excited, sizes
     ):
+        # every search starts by building its table
         def no_search(config):
             raise AssertionError(f"searched {config} before checking every size")
 
-        monkeypatch.setattr(analysis, "find_max", no_search)
+        monkeypatch.setattr(analysis, "amplitude_table", no_search)
         with pytest.raises(ValueError, match="must be an integer"):
             sweep_over_N(excited, sizes)
+
+
+def _figure_sweeps():
+    """Each sweep and fit of scripts/make_figure_data.py, as the CLI runs it."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "make_figure_data", root / "scripts" / "make_figure_data.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sweeps = []
+    for name, argv in module.RUNS:
+        if argv[0] in ("sweep", "fit"):
+            options = dict(zip(argv[1::2], argv[2::2]))
+            sizes = _parse_dots_spec(options["--dots"])
+            sweeps.append((name, options.get("--excited"), sizes))
+    return sweeps
+
+
+def _exact(record):
+    """What a batched record must share with the batch of one, compared with ==."""
+    return record.config, record.kt_star, record.E_max, record.spectrum_at_max.weights
+
+
+class TestBatchedSearch:
+    """Searches refined together give the batch of one's records, bit for bit.
+
+    The figure sweeps stack up to 39 configurations of one rank with
+    unequal peak counts; the filling sweeps stack the mirror fillings M and
+    N - M; the search over every filling up to N = 16 mixes ranks and lets
+    members leave the batch at different steps.
+    """
+
+    @pytest.mark.parametrize("name,excited,sizes", _figure_sweeps())
+    def test_figure_sweeps(self, name, excited, sizes):
+        if excited is None:
+            records = sweep_over_M(sizes[0])
+        else:
+            excited = excited if excited == "half" else int(excited)
+            records = sweep_over_N(excited, sizes)
+        assert len(records) >= 9
+        for r in records:
+            assert _exact(r) == _exact(find_max(r.config))
+
+    @pytest.mark.parametrize("dots", range(2, 17))
+    def test_sweep_over_fillings(self, dots):
+        for r in sweep_over_M(dots):
+            assert _exact(r) == _exact(find_max(r.config))
+
+    def test_every_filling_up_to_sixteen_in_one_batch(self):
+        configs = [ModelConfig(n, m) for n in range(2, 17) for m in range(1, n)]
+        for r, config in zip(find_maxima(configs), configs):
+            assert _exact(r) == _exact(find_max(config))
 
 
 class TestCriticalSize:

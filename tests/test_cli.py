@@ -577,7 +577,8 @@ class TestFit:
         def no_search(*args, **kwargs):
             raise AssertionError(f"searched {args} before checking the domain")
 
-        monkeypatch.setattr(analysis, "find_max", no_search)
+        # every search starts by building its table
+        monkeypatch.setattr(analysis, "amplitude_table", no_search)
         code, out, err = run_cli(capsys, "fit", "--excited", "2", "--dots", "3..9")
         assert code == 2
         assert out == ""
@@ -813,6 +814,20 @@ class TestEntryPoints:
     def test_usage_error_exit_code(self, capsys):
         assert cli.main(["trace", "--dots", "2"]) == 2
         capsys.readouterr()
+
+    def test_second_call_parses_on_its_own(self, capsys):
+        # The parser is built once per process; a usage error must leave
+        # nothing of its arguments, here --excited, to the next command.
+        code, out, err = run_cli(
+            capsys, "sweep", "--excited", "1", "--dots", "2..6", "--workers", "2"
+        )
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments" in err
+        code, out, err = run_cli(capsys, "sweep", "--dots", "4")
+        assert (code, err) == (0, "")
+        rows = [line.split(",")[:2] for line in out.splitlines()[2:]]
+        assert rows == [["4", "1"], ["4", "2"], ["4", "3"]]
+        assert cli._build_parser() is cli._build_parser()
 
     def test_unknown_command(self, capsys):
         assert cli.main(["frobnicate"]) == 2

@@ -15,6 +15,7 @@ from dotent.closed_form import (
     SchmidtSpectrum,
     amplitude_table,
     coefficients,
+    derivative_basis,
     entanglement,
     entanglement_rate_m1,
     entropy_curve,
@@ -253,6 +254,12 @@ class TestSchmidtSpectrum:
         assert np.abs(a - b).max() < 1e-12
 
 
+def _derivatives(table, kts):
+    return entropy_derivatives(
+        table.multipliers, derivative_basis(table), table.weight_factors, kts
+    )
+
+
 class TestEntropyDerivatives:
     @pytest.mark.parametrize("dots,m_exc", [(7, 3), (12, 5), (40, 20)])
     def test_match_central_differences(self, dots, m_exc):
@@ -260,7 +267,7 @@ class TestEntropyDerivatives:
         kts = np.array([0.3, 1.1, 2.5])
         # step well inside the fastest harmonic's oscillation
         h = 1e-3 / np.ptp(table.multipliers)
-        E, d1, d2 = entropy_derivatives(table, kts)
+        E, d1, d2 = _derivatives(table, kts)
         above, here, below = (entropy_curve(table, kts + s) for s in (h, 0.0, -h))
         assert np.abs(E - here).max() < 1e-14
         fd1 = (above - below) / (2.0 * h)
@@ -272,9 +279,24 @@ class TestEntropyDerivatives:
         table = amplitude_table(ModelConfig(7, 3))
         # at kt = 0 one branch weight is exactly 0.0 in floats
         assert (spectrum_curve(table, [0.0]) == 0.0).any()
-        E, d1, d2 = entropy_derivatives(table, [0.0])
+        E, d1, d2 = _derivatives(table, [0.0])
         assert abs(E[0]) < 1e-15 and abs(d1[0]) < 1e-12
         assert math.isfinite(d2[0])
+
+    def test_stacked_tables_match_one_at_a_time(self):
+        # same rank m' = 3, each table with its own times
+        tables = [amplitude_table(ModelConfig(n, 3)) for n in (7, 9, 12)]
+        kts = np.array([[0.3, 1.1], [0.2, 2.9], [0.7, 0.01]])
+        stacked = entropy_derivatives(
+            np.stack([t.multipliers for t in tables]),
+            np.stack([derivative_basis(t) for t in tables]),
+            np.stack([t.weight_factors for t in tables]),
+            kts,
+        )
+        for g, table in enumerate(tables):
+            for got, alone in zip(stacked, _derivatives(table, kts[g])):
+                assert got.shape == kts.shape
+                assert np.array_equal(got[g], alone)
 
 
 class TestEntanglement:
