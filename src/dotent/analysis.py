@@ -77,9 +77,8 @@ def _grid_size(table: AmplitudeTable, T: float) -> int:
     return max(_MIN_GRID_POINTS, math.ceil(_SAMPLES_PER_CYCLE * cycles))
 
 
-def _grid_peaks(config: ModelConfig):
+def _grid_peaks(config: ModelConfig, T: float):
     """Table, coarse grid and interior grid peaks of one configuration."""
-    T = period(config)
     table = amplitude_table(config)
     kts = np.linspace(0.0, T, _grid_size(table, T) + 1)
     coarse = entropy_curve(table, kts)
@@ -156,10 +155,12 @@ def find_maxima(configs) -> list[MaxEntanglementRecord]:
     Every interior peak of a grid sized by the spectrum's bandwidth is
     refined, all searches of one rank m' together, then the best refined
     value wins; among peaks equal within tolerance the earliest time is
-    returned.
+    returned.  Every configuration's period is taken, and a static one
+    refused, before the first table is built.
     """
     configs = list(configs)
-    starts = [_grid_peaks(c) for c in configs]
+    periods = [period(c) for c in configs]
+    starts = [_grid_peaks(c, T) for c, T in zip(configs, periods)]
     refined: list = [None] * len(configs)
     for rank in {c.m_prime for c in configs}:
         members = [i for i, c in enumerate(configs) if c.m_prime == rank]
@@ -191,9 +192,6 @@ def sweep_over_N(excitations: int | str, dots_values) -> list[MaxEntanglementRec
         configs = [ModelConfig(n, n // 2) for n in dots_values]
     else:
         configs = [ModelConfig(n, excitations) for n in dots_values]
-    for c in configs:
-        if c.dots < max(2, c.excitations + 1):
-            raise ValueError(f"N={c.dots} too small for M={c.excitations}")
     return find_maxima(configs)
 
 

@@ -32,12 +32,10 @@ from .closed_form import (
     SPECTRUM_SUM_TOL,
     ModelConfig,
     NormalizationError,
-    _entropy,
-    amplitude_table,
+    amplitude_table,  # unused here; perfbench's tracer wraps it by this name
     as_integer,
     entanglement,  # unused here; perfbench's tracer wraps it by this name
     schmidt_spectrum,  # unused here; perfbench's tracer wraps it by this name
-    spectrum_curve,
     trace_entanglement,
 )
 from .oracle import (
@@ -242,15 +240,14 @@ def _oracle_comparisons(
                 entropies = reduced_entropy(evolve(hamiltonian, kts), excitations)
                 brute[excitations] = entropies.tolist()
             try:
-                table = amplitude_table(config)
+                _, entropies, weights = trace_entanglement(config, kts)
             except NormalizationError:
                 comparisons.append(
                     (dots, excitations, float("nan"), float("nan"), float("nan"))
                 )
                 continue
-            weights = spectrum_curve(table, kts)
             normalized = np.abs(weights.sum(axis=1) - 1.0) <= SPECTRUM_SUM_TOL
-            analytical = np.where(normalized, _entropy(weights), np.nan)
+            analytical = np.where(normalized, entropies, np.nan)
             for kt, a, b in zip(
                 kts.tolist(), analytical.tolist(), brute[config.m_prime]
             ):

@@ -3,8 +3,9 @@
 N dots interact through a uniform exchange coupling; the initial state has
 the first M dots excited.  Time is the dimensionless product kt of that
 coupling and physical time.  The superposition amplitudes are carried as
-exact rationals (the mixing matrix suffers heavy cancellation in floats)
-and floating point enters only in the final trigonometric evaluation.
+exact integers over one common denominator (the mixing matrix suffers
+heavy cancellation in floats); each is rounded to double precision once,
+and floating point enters only in the trigonometric evaluation.
 """
 
 from __future__ import annotations
@@ -77,21 +78,21 @@ class AmplitudeTable:
     """Exact time-independent data for one (N, M).
 
     The coefficient of Schmidt branch m is a superposition of harmonics:
-    sum over n of amplitudes[n][m] * exp(i * phase_multipliers[n] * kt).
-    Both indices run over 0..m_prime.  The float views below are built on
-    first use and shared by every later evaluation of this table.
+    sum over n of (numerators[n][m] / denominator) * exp(i * phase_multipliers[n]
+    * kt).  Both indices run over 0..m_prime.  The float views below are
+    built on first use and shared by every later evaluation of this table.
     """
 
     config: ModelConfig
-    amplitudes: tuple[tuple[Fraction, ...], ...]
+    numerators: tuple[tuple[int, ...], ...]
+    denominator: int
     phase_multipliers: tuple[int, ...]
 
     @cached_property
     def mixing(self) -> np.ndarray:
-        """The amplitudes rounded to double precision."""
-        return np.array(
-            [[float(v) for v in row] for row in self.amplitudes], dtype=float
-        )
+        """The amplitudes n / L, each correctly rounded to double precision."""
+        L = self.denominator
+        return np.array([[n / L for n in row] for row in self.numerators], dtype=float)
 
     @cached_property
     def multipliers(self) -> np.ndarray:
@@ -120,9 +121,9 @@ def amplitude_table(config: ModelConfig) -> AmplitudeTable:
     Entry (n, m) is the paper's sum over k of
     (-1)^k C(m, k) [C(N+1-2k, n-k) - 2 C(N-2k, n-k-1)] / C(N-2k, M-k).
     The denominators depend only on k, so every term is scaled to their
-    least common multiple L and summed as an integer; each entry is one
-    Fraction(sum, L).  Construction is validated against the t = 0 product
-    state on those integer sums: column m must sum to L for m = 0 and to 0
+    least common multiple L and summed as an integer; the table keeps those
+    sums over L.  Construction is validated against the t = 0 product
+    state on the integer sums: column m must sum to L for m = 0 and to 0
     otherwise, exactly.
     """
     N, M = config.dots, config.excitations
@@ -145,10 +146,10 @@ def amplitude_table(config: ModelConfig) -> AmplitudeTable:
         ]
         for n in range(top + 1)
     ]
-    sums = [
-        [sum(w * b for w, b in zip(column, row)) for column in weights]
+    sums = tuple(
+        tuple(sum(w * b for w, b in zip(column, row)) for column in weights)
         for row in brackets
-    ]
+    )
     for m in range(top + 1):
         column_sum = sum(row[m] for row in sums)
         if column_sum != (common if m == 0 else 0):
@@ -156,19 +157,16 @@ def amplitude_table(config: ModelConfig) -> AmplitudeTable:
                 f"initial condition violated in column {m}: "
                 f"sum {Fraction(column_sum, common)}"
             )
-    amplitudes = tuple(tuple(Fraction(s, common) for s in row) for row in sums)
     multipliers = tuple(n * (N + 1 - n) - M * (N - M) for n in range(top + 1))
-    return AmplitudeTable(config, amplitudes, multipliers)
+    return AmplitudeTable(config, sums, common, multipliers)
 
 
-def coefficients(table: AmplitudeTable, kt: float) -> np.ndarray:
-    """Complex branch coefficients at time kt, in double precision."""
-    return np.exp(1j * table.multipliers * kt) @ table.mixing
+def coefficients(table: AmplitudeTable, kts) -> np.ndarray:
+    """Complex branch coefficients in double precision, one row per time in kts.
 
-
-def _phases(table: AmplitudeTable, kts) -> np.ndarray:
-    kts = np.atleast_1d(np.asarray(kts, dtype=float))
-    return np.exp(1j * np.outer(kts, table.multipliers))
+    A scalar time gives the single row of its coefficients.
+    """
+    return np.exp(1j * np.multiply.outer(kts, table.multipliers)) @ table.mixing
 
 
 def _entropy(weights: np.ndarray) -> np.ndarray:
@@ -179,7 +177,8 @@ def _entropy(weights: np.ndarray) -> np.ndarray:
 
 def spectrum_curve(table: AmplitudeTable, kts) -> np.ndarray:
     """Schmidt weights for every time in kts; row i belongs to kts[i]."""
-    coeff = _phases(table, kts) @ table.mixing
+    kts = np.atleast_1d(np.asarray(kts, dtype=float))
+    coeff = coefficients(table, kts)
     return table.weight_factors * np.abs(coeff) ** 2
 
 
@@ -255,12 +254,6 @@ def trace_entanglement(
 def mes_entropy(config: ModelConfig) -> float:
     """Entropy of the maximally entangled state reachable from this start."""
     return math.log2(config.m_prime + 1)
-
-
-def relative_entanglement(entropy: float, config: ModelConfig) -> float:
-    if config.m_prime == 0:
-        raise ValueError("relative entanglement undefined when min(M, N-M) = 0")
-    return entropy / mes_entropy(config)
 
 
 def p1_single_excitation(dots: int, kt: float) -> float:

@@ -209,6 +209,14 @@ class TestSweeps:
         with pytest.raises(ValueError, match="must be an integer"):
             sweep_over_N(excited, sizes)
 
+    def test_static_configuration_refused_before_any_table(self, monkeypatch):
+        def no_table(config):
+            raise AssertionError(f"built the table of {config} before every period")
+
+        monkeypatch.setattr(analysis, "amplitude_table", no_table)
+        with pytest.raises(ValueError, match="no dynamics"):
+            find_maxima([ModelConfig(5, 2), ModelConfig(5, 0)])
+
 
 def _figure_sweeps():
     """Each sweep and fit of scripts/make_figure_data.py, as the CLI runs it."""

@@ -9,7 +9,6 @@ import re
 import subprocess
 import sys
 from decimal import Decimal
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import dotent.analysis as analysis
 import dotent.cli as cli
+import dotent.closed_form as closed_form
 from dotent.closed_form import (
     ModelConfig,
     entanglement,
@@ -33,9 +33,9 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 def _bumped_table(config):
     """Stand-in table builder whose output silently violates normalization."""
     table = real_amplitude_table(config)
-    rows = [list(r) for r in table.amplitudes]
-    rows[0][0] += Fraction(1, 7)
-    return dataclasses.replace(table, amplitudes=tuple(tuple(r) for r in rows))
+    rows = [list(r) for r in table.numerators]
+    rows[0][0] += table.denominator // 7 + 1
+    return dataclasses.replace(table, numerators=tuple(tuple(r) for r in rows))
 
 
 def _reference_lines(columns, rows):
@@ -265,7 +265,7 @@ class TestTrace:
         # The bumped table makes verify write a failure table, in which the
         # analytical entropy of every sample reads nan.
         if argv[0] == "verify":
-            monkeypatch.setattr(cli, "amplitude_table", _bumped_table)
+            monkeypatch.setattr(closed_form, "amplitude_table", _bumped_table)
         out_path = tmp_path / "out.csv"
         code, _, _ = run_cli(capsys, *argv, "--out", str(out_path))
         assert code == (1 if argv[0] == "verify" else 0)
@@ -669,7 +669,7 @@ class TestVerify:
         assert 0.0 <= float(match.group(1)) <= 1e-12
 
     def test_nan_sample_makes_the_margin_nan(self, capsys, monkeypatch):
-        real_spectrum_curve = cli.spectrum_curve
+        real_spectrum_curve = closed_form.spectrum_curve
 
         def broken_spectrum(table, kts):
             # One un-normalized sample: its weights sum to 1.5, not 1.
@@ -677,7 +677,7 @@ class TestVerify:
             weights[-1] *= 1.5
             return weights
 
-        monkeypatch.setattr(cli, "spectrum_curve", broken_spectrum)
+        monkeypatch.setattr(closed_form, "spectrum_curve", broken_spectrum)
         code, _, err = run_cli(
             capsys, "verify", "--max-dots", "3", "--samples", "2",
         )
@@ -760,7 +760,7 @@ class TestVerify:
         assert all(type(c[0]) is int and type(c[1]) is int for c in comparisons)
 
     def test_corrupted_amplitudes_fail(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "amplitude_table", _bumped_table)
+        monkeypatch.setattr(closed_form, "amplitude_table", _bumped_table)
         code, out, err = run_cli(
             capsys, "verify", "--max-dots", "4", "--samples", "8",
         )
@@ -769,10 +769,23 @@ class TestVerify:
         assert header == ["N", "M", "kt", "E_analytical", "E_brute_force", "abs_diff"]
         assert rows
 
+        # A table that fails its own construction check is one NaN row per sector.
+        def refused_table(config):
+            raise closed_form.NormalizationError("initial condition violated")
+
+        monkeypatch.setattr(closed_form, "amplitude_table", refused_table)
+        code, out, _ = run_cli(capsys, "verify", "--max-dots", "3", "--samples", "2")
+        assert code == 1
+        _, _, rows = parse_csv(out)
+        assert [row[:2] for row in rows] == [
+            [str(n), str(m)] for n in (2, 3) for m in range(n + 1)
+        ]
+        assert all(row[2:] == ["nan"] * 4 for row in rows)
+
     def test_failure_rows_match_the_reference_bytes(
         self, capsys, monkeypatch, same_lines
     ):
-        monkeypatch.setattr(cli, "amplitude_table", _bumped_table)
+        monkeypatch.setattr(closed_form, "amplitude_table", _bumped_table)
         failures = cli.verification_failures(5, 8, 1e-9)
         columns = ["N", "M", "kt", "E_analytical", "E_brute_force", "abs_diff"]
         want = _reference_lines(columns, [(*f, abs(f[3] - f[4])) for f in failures])
@@ -782,7 +795,7 @@ class TestVerify:
         same_lines(out.split("\n", 2)[2], want)
 
     def test_failure_table_goes_to_file(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "amplitude_table", _bumped_table)
+        monkeypatch.setattr(closed_form, "amplitude_table", _bumped_table)
         out_path = tmp_path / "failures.csv"
         code = cli.main([
             "verify", "--max-dots", "3", "--samples", "6", "--out", str(out_path),

@@ -26,7 +26,6 @@ from dotent.closed_form import (
     peak_entropy_m1,
     pi_time_magnitudes,
     pi_time_magnitudes_exact,
-    relative_entanglement,
     schmidt_spectrum,
     spectrum_curve,
     trace_entanglement,
@@ -70,6 +69,13 @@ def _paper_table(dots, excited):
         rows.append(tuple(row))
     multipliers = tuple(n * (N + 1 - n) - M * (N - M) for n in range(top + 1))
     return tuple(rows), multipliers
+
+
+def _fractions(table):
+    """The table's entries as exact Fractions numerator / denominator."""
+    return tuple(
+        tuple(Fraction(n, table.denominator) for n in row) for row in table.numerators
+    )
 
 
 class TestModelConfig:
@@ -119,14 +125,13 @@ class TestModelConfig:
 class TestAmplitudeTable:
     def test_two_dots_single_excitation_exact(self):
         table = amplitude_table(ModelConfig(2, 1))
-        half = Fraction(1, 2)
-        assert table.amplitudes == ((half, half), (half, -half))
+        assert (table.numerators, table.denominator) == (((1, 1), (1, -1)), 2)
         assert table.phase_multipliers == (-1, 1)
 
     def test_no_excitations_is_static(self):
         for n in (1, 3, 8):
             table = amplitude_table(ModelConfig(n, 0))
-            assert table.amplitudes == ((Fraction(1),),)
+            assert (table.numerators, table.denominator) == (((1,),), 1)
             assert table.phase_multipliers == (0,)
 
     @pytest.mark.parametrize("dots", range(1, 11))
@@ -136,23 +141,23 @@ class TestAmplitudeTable:
             table = amplitude_table(ModelConfig(dots, m_exc))
             top = table.config.m_prime
             for m in range(top + 1):
-                total = sum(row[m] for row in table.amplitudes)
-                assert total == (1 if m == 0 else 0)
+                total = sum(row[m] for row in table.numerators)
+                assert total == (table.denominator if m == 0 else 0)
 
     @pytest.mark.parametrize("dots", range(1, 25))
     def test_matches_paper_formula(self, dots):
         for excited in range(dots + 1):
             table = amplitude_table(ModelConfig(dots, excited))
-            assert (table.amplitudes, table.phase_multipliers) == _paper_table(
-                dots, excited
-            )
+            paper = _paper_table(dots, excited)
+            assert (_fractions(table), table.phase_multipliers) == paper
+            assert table.mixing.tolist() == [[float(v) for v in r] for r in paper[0]]
 
     @pytest.mark.parametrize("dots,excited", LARGE_SECTORS)
     def test_matches_paper_formula_at_large_size(self, dots, excited):
         table = amplitude_table(ModelConfig(dots, excited))
-        assert (table.amplitudes, table.phase_multipliers) == _paper_table(
-            dots, excited
-        )
+        paper = _paper_table(dots, excited)
+        assert (_fractions(table), table.phase_multipliers) == paper
+        assert table.mixing.tolist() == [[float(v) for v in r] for r in paper[0]]
 
     def test_binomial_calls_grow_quadratically(self, monkeypatch):
         calls = []
@@ -186,10 +191,12 @@ class TestAmplitudeTable:
 class TestCoefficients:
     def test_two_dots_are_cosine_and_sine(self):
         table = amplitude_table(ModelConfig(2, 1))
-        for kt in (0.0, 0.3, math.pi / 4, 1.9, math.pi):
+        kts = [0.0, 0.3, math.pi / 4, 1.9, math.pi]
+        for kt, row in zip(kts, coefficients(table, np.array(kts))):
             c = coefficients(table, kt)
             assert abs(c[0] - math.cos(kt)) < 1e-12
             assert abs(c[1] - (-1j) * math.sin(kt)) < 1e-12
+            assert np.abs(row - c).max() <= 1e-15
 
     @pytest.mark.parametrize("dots,m_exc", [(3, 1), (6, 2), (9, 4), (11, 3)])
     def test_start_state_at_time_zero(self, dots, m_exc):
@@ -232,9 +239,9 @@ class TestSchmidtSpectrum:
 
     def test_broken_table_is_flagged(self):
         table = amplitude_table(ModelConfig(6, 2))
-        rows = [list(r) for r in table.amplitudes]
-        rows[1][1] += Fraction(1, 7)
-        bad = dataclasses.replace(table, amplitudes=tuple(tuple(r) for r in rows))
+        rows = [list(r) for r in table.numerators]
+        rows[1][1] += table.denominator // 7 + 1
+        bad = dataclasses.replace(table, numerators=tuple(tuple(r) for r in rows))
         with pytest.raises(NormalizationError):
             schmidt_spectrum(bad, 0.37)
 
@@ -326,12 +333,6 @@ class TestScalars:
         assert abs(mes_entropy(ModelConfig(10, 5)) - math.log2(6)) < 1e-15
         assert mes_entropy(ModelConfig(9, 1)) == 1.0
         assert mes_entropy(ModelConfig(9, 0)) == 0.0
-
-    def test_relative_entanglement(self):
-        assert relative_entanglement(1.0, ModelConfig(7, 1)) == 1.0
-        assert abs(relative_entanglement(1.0, ModelConfig(10, 5)) - 1 / math.log2(6)) < 1e-15
-        with pytest.raises(ValueError):
-            relative_entanglement(0.0, ModelConfig(5, 0))
 
     def test_p1_examples(self):
         assert abs(p1_single_excitation(2, math.pi / 4) - 0.5) < 1e-15

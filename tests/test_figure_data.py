@@ -14,11 +14,12 @@ from dotent.cli import _csv_lines, main
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # Per real column, |new - published| <= atol + RTOL * |published|.  The peak
-# location is fixed far less tightly than the value, because E is stationary
-# there: 1e-8 in kt_star still pins E_max to ~1e-13.
+# location is fixed less tightly than the value, because E is stationary
+# there: the search stops once its Newton step is below 1e-12, and 100 times
+# that still catches a stale row whose kt_star is off by 1e-9.
 RTOL = 1e-12
 ATOL = 1e-12
-ATOL_BY_COLUMN = {"kt_star": 1e-8}
+ATOL_BY_COLUMN = {"kt_star": 1e-10}
 INTEGER_COLUMNS = {"N", "M"}
 
 
