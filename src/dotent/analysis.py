@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .closed_form import (
     entropy_curve,
     entropy_derivatives,
     mes_entropy,
+    phase_entropy,
     schmidt_spectrum,
 )
 
@@ -55,18 +56,28 @@ class InverseLinearFit:
     domain: tuple[int, ...]
 
 
+def _turns(config: ModelConfig) -> int:
+    """Recurrences of the Schmidt spectrum per 2 pi of kt.
+
+    Harmonic n differs from harmonic 0 by the multiplier n (N + 1 - n).
+    With one excitation (or one hole) the only difference is N; otherwise
+    every difference is even for even N, and n = 1 gives the odd N for odd N.
+    """
+    N, M = config.dots, config.excitations
+    if config.m_prime == 0:
+        raise ValueError(f"no dynamics for N={N}, M={M}")
+    if M == 1 or M == N - 1:
+        return N
+    return 2 if N % 2 == 0 else 1
+
+
 def period(config: ModelConfig) -> float:
     """Exact recurrence time of the Schmidt spectrum.
 
     A lone excitation (or lone hole) recurs after 2 pi / N; every other
     nontrivial filling recurs after pi for even N and 2 pi for odd N.
     """
-    N, M = config.dots, config.excitations
-    if config.m_prime == 0:
-        raise ValueError(f"no dynamics for N={N}, M={M}")
-    if M == 1 or M == N - 1:
-        return 2.0 * math.pi / N
-    return math.pi if N % 2 == 0 else 2.0 * math.pi
+    return 2.0 * math.pi / _turns(config)
 
 
 def _grid_size(table: AmplitudeTable, T: float) -> int:
@@ -77,11 +88,33 @@ def _grid_size(table: AmplitudeTable, T: float) -> int:
     return max(_MIN_GRID_POINTS, math.ceil(_SAMPLES_PER_CYCLE * cycles))
 
 
-def _grid_peaks(config: ModelConfig, T: float):
-    """Table, coarse grid and interior grid peaks of one configuration."""
+def _half_grid(table: AmplitudeTable, turns: int):
+    """The first n/2 + 2 points kt_j = j T / n of the coarse grid, and E there.
+
+    The weights are even in kt and recur after T = 2 pi / turns, so
+    E(T - kt) = E(kt): the points j = 0..n/2 + 1 hold every peak up to
+    T / 2 with both of its neighbors.  Relative to harmonic 0, harmonic n
+    turns s = (lambda_n - lambda_0) / turns times per period, so at kt_j its
+    phase is the root of unity exp(2 pi i (s j mod n) / n).
+    """
+    T = 2.0 * math.pi / turns
+    n = _grid_size(table, T)
+    if n % 2:
+        raise ArithmeticError(f"odd coarse grid of {n} intervals for {table.config}")
+    lam = table.phase_multipliers
+    if any((x - lam[0]) % turns for x in lam):
+        raise ArithmeticError(f"multipliers {lam} do not recur {turns} times per 2 pi")
+    steps = np.array([(x - lam[0]) // turns for x in lam])
+    count = n // 2 + 2
+    roots = np.exp(2j * math.pi / n * np.arange(n))
+    phases = roots[np.multiply.outer(np.arange(count), steps) % n]
+    return np.linspace(0.0, T, n + 1)[:count], phase_entropy(table, phases)
+
+
+def _grid_peaks(config: ModelConfig, turns: int):
+    """Table, first-half coarse grid and its interior grid peaks."""
     table = amplitude_table(config)
-    kts = np.linspace(0.0, T, _grid_size(table, T) + 1)
-    coarse = entropy_curve(table, kts)
+    kts, coarse = _half_grid(table, turns)
     peaks = np.flatnonzero(
         (coarse[1:-1] >= coarse[:-2]) & (coarse[1:-1] >= coarse[2:])
     ) + 1
@@ -152,23 +185,28 @@ def _record(config, table, refined) -> MaxEntanglementRecord:
 def find_maxima(configs) -> list[MaxEntanglementRecord]:
     """Locate the entanglement maximum of each configuration over one exact period.
 
-    Every interior peak of a grid sized by the spectrum's bandwidth is
-    refined, all searches of one rank m' together, then the best refined
-    value wins; among peaks equal within tolerance the earliest time is
-    returned.  Every configuration's period is taken, and a static one
+    Every interior peak of the first half of a grid sized by the spectrum's
+    bandwidth is refined, all searches of one rank m' together, then the
+    best refined value wins; among peaks equal within tolerance the earliest
+    time is returned.  M and N - M share their table, period and grid, so
+    each (N, m') is searched once and its record given to every such
+    configuration.  Every configuration's period is taken, and a static one
     refused, before the first table is built.
     """
     configs = list(configs)
-    periods = [period(c) for c in configs]
-    starts = [_grid_peaks(c, T) for c, T in zip(configs, periods)]
-    refined: list = [None] * len(configs)
-    for rank in {c.m_prime for c in configs}:
-        members = [i for i, c in enumerate(configs) if c.m_prime == rank]
-        for i, xs in zip(members, _refine_rank([starts[i] for i in members])):
-            refined[i] = xs
-    return [
-        _record(c, table, xs) for c, (table, _, _), xs in zip(configs, starts, refined)
-    ]
+    searches: dict = {}
+    for c in configs:
+        searches.setdefault((c.dots, c.m_prime), (c, _turns(c)))
+    starts = {key: _grid_peaks(c, turns) for key, (c, turns) in searches.items()}
+    refined = {}
+    for rank in {m for _, m in searches}:
+        members = [key for key in searches if key[1] == rank]
+        refined.update(zip(members, _refine_rank([starts[k] for k in members])))
+    records = {
+        key: _record(c, starts[key][0], refined[key])
+        for key, (c, _) in searches.items()
+    }
+    return [replace(records[c.dots, c.m_prime], config=c) for c in configs]
 
 
 def find_max(config: ModelConfig) -> MaxEntanglementRecord:

@@ -187,6 +187,16 @@ def entropy_curve(table: AmplitudeTable, kts) -> np.ndarray:
     return _entropy(spectrum_curve(table, kts))
 
 
+def phase_entropy(table: AmplitudeTable, phases: np.ndarray) -> np.ndarray:
+    """Entanglement entropy (base 2) for each row of harmonic phase factors.
+
+    Row i holds exp(i * multipliers * kt_i) for one time, up to a factor
+    common to the row, which cancels in every weight.
+    """
+    coeff = phases @ table.mixing
+    return _entropy(table.weight_factors * np.abs(coeff) ** 2)
+
+
 def derivative_basis(table: AmplitudeTable) -> np.ndarray:
     """The K x 3K matrix [mix | i mult mix | -mult**2 mix] of one table.
 

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 import pathlib
@@ -139,6 +140,48 @@ class TestFindMax:
         assert abs(coarse.kt_star - dense.kt_star) <= 1e-8
 
 
+class TestHalfGrid:
+    """The coarse grid scans half the period on exact roots of unity.
+
+    E(T - kt) = E(kt), so the grid stops at j = n/2 + 1; the test checks
+    that against the exp grid over the whole period instead of assuming
+    it, because a 1e-13 move could flip a peak index on a plateau.
+    """
+
+    @pytest.mark.parametrize("dots", range(2, 41))
+    def test_agrees_with_the_exp_grid_over_the_whole_period(self, dots):
+        for m_exc in range(1, dots // 2 + 1):
+            config = ModelConfig(dots, m_exc)
+            table, T = amplitude_table(config), period(config)
+            n = analysis._grid_size(table, T)
+            assert n % 4 == 0
+            full_kts = np.linspace(0.0, T, n + 1)
+            full = entropy_curve(table, full_kts)
+            head = n // 2 + 2
+            kts, coarse = analysis._half_grid(table, analysis._turns(config))
+            assert kts.tolist() == full_kts[:head].tolist()
+            assert np.abs(coarse - full[:head]).max() <= 1e-13
+            assert np.abs(entropy_curve(table, T - kts) - full[:head]).max() <= 1e-13
+            inner = full[1:-1]
+            every = np.flatnonzero((inner >= full[:-2]) & (inner >= full[2:])) + 1
+            _, _, peaks = analysis._grid_peaks(config, analysis._turns(config))
+            assert peaks.tolist() == every[every <= n // 2].tolist()
+
+    def test_odd_grid_refused(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_grid_size", lambda table, T: 33)
+        with pytest.raises(ArithmeticError, match="odd coarse grid"):
+            find_max(ModelConfig(5, 2))
+
+    def test_multipliers_off_the_period_refused(self):
+        table = amplitude_table(ModelConfig(6, 2))
+        lam = table.phase_multipliers
+        broken = dataclasses.replace(
+            table, phase_multipliers=(lam[0], lam[1] + 1, lam[2])
+        )
+        with pytest.raises(ArithmeticError, match="do not recur 2 times"):
+            analysis._half_grid(broken, 2)
+
+
 class TestSweeps:
     def test_over_fillings_ten_dots(self):
         records = sweep_over_M(10)
@@ -149,6 +192,18 @@ class TestSweeps:
         assert int(np.argmax(emax)) == 4  # half filling wins
         for r in records:
             assert r.E_max <= r.E_MES + 1e-12
+
+    def test_over_fillings_builds_one_table_per_mirror_pair(self, monkeypatch):
+        built = []
+
+        def counted(config):
+            built.append(config)
+            return amplitude_table(config)
+
+        monkeypatch.setattr(analysis, "amplitude_table", counted)
+        records = sweep_over_M(10)
+        assert built == [ModelConfig(10, m) for m in range(1, 6)]
+        assert [r.config for r in records] == [ModelConfig(10, m) for m in range(1, 10)]
 
     @pytest.mark.parametrize(
         "dots, message",
@@ -244,9 +299,10 @@ class TestBatchedSearch:
     """Searches refined together give the batch of one's records, bit for bit.
 
     The figure sweeps stack up to 39 configurations of one rank with
-    unequal peak counts; the filling sweeps stack the mirror fillings M and
-    N - M; the search over every filling up to N = 16 mixes ranks and lets
-    members leave the batch at different steps.
+    unequal peak counts; the filling sweeps search each mirror pair M,
+    N - M once, and every record of M > N / 2 must equal a search of that
+    very configuration alone; the search over every filling up to N = 16
+    mixes ranks and lets members leave the batch at different steps.
     """
 
     @pytest.mark.parametrize("name,excited,sizes", _figure_sweeps())
@@ -262,7 +318,11 @@ class TestBatchedSearch:
 
     @pytest.mark.parametrize("dots", range(2, 17))
     def test_sweep_over_fillings(self, dots):
-        for r in sweep_over_M(dots):
+        records = sweep_over_M(dots)
+        assert [r.config for r in records] == [
+            ModelConfig(dots, m) for m in range(1, dots)
+        ]
+        for r in records:
             assert _exact(r) == _exact(find_max(r.config))
 
     def test_every_filling_up_to_sixteen_in_one_batch(self):

@@ -768,6 +768,9 @@ class TestVerify:
         _, header, rows = parse_csv(out)
         assert header == ["N", "M", "kt", "E_analytical", "E_brute_force", "abs_diff"]
         assert rows
+        # The bumped weights miss their sum by far more than SPECTRUM_SUM_TOL,
+        # so every sample is masked, not compared as an entropy.
+        assert all(row[3] == "nan" for row in rows)
 
         # A table that fails its own construction check is one NaN row per sector.
         def refused_table(config):
@@ -801,8 +804,10 @@ class TestVerify:
             "verify", "--max-dots", "3", "--samples", "6", "--out", str(out_path),
         ])
         assert code == 1
-        assert out_path.exists()
-        assert "E_brute_force" in out_path.read_text(encoding="utf-8")
+        _, header, rows = parse_csv(out_path.read_text(encoding="utf-8"))
+        assert header[3:5] == ["E_analytical", "E_brute_force"]
+        assert rows
+        assert all(row[3] == "nan" for row in rows)
 
 
 # --tol is covered by each command's test_bad_tolerance_is_usage_error.

@@ -144,6 +144,17 @@ class TestAmplitudeTable:
                 total = sum(row[m] for row in table.numerators)
                 assert total == (table.denominator if m == 0 else 0)
 
+    @pytest.mark.parametrize("dots", range(1, 41))
+    def test_mirror_fillings_share_one_table(self, dots):
+        # The peak search builds one table per pair M, N - M and shares it.
+        for m_exc in range(dots // 2 + 1):
+            table = amplitude_table(ModelConfig(dots, m_exc))
+            mirror = amplitude_table(ModelConfig(dots, dots - m_exc))
+            assert table.numerators == mirror.numerators
+            assert table.denominator == mirror.denominator
+            assert table.phase_multipliers == mirror.phase_multipliers
+            assert table.weight_factors.tolist() == mirror.weight_factors.tolist()
+
     @pytest.mark.parametrize("dots", range(1, 25))
     def test_matches_paper_formula(self, dots):
         for excited in range(dots + 1):
