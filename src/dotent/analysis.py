@@ -36,6 +36,10 @@ _TIE_TOL = 1e-12
 # Bisection alone shrinks a grid-cell bracket below 1e-12 within 40 steps;
 # Newton steps, taken wherever they are safe, converge in far fewer.
 _MAX_REFINE_STEPS = 60
+# The coarse grid is evaluated this many rows at a time, so a search holds
+# at most this many rows of phases however wide its spectrum.  It is even,
+# like every grid's row count, so no block has a single row.
+_GRID_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -95,7 +99,11 @@ def _half_grid(table: AmplitudeTable, turns: int):
     E(T - kt) = E(kt): the points j = 0..n/2 + 1 hold every peak up to
     T / 2 with both of its neighbors.  Relative to harmonic 0, harmonic n
     turns s = (lambda_n - lambda_0) / turns times per period, so at kt_j its
-    phase is the root of unity exp(2 pi i (s j mod n) / n).
+    phase is the root of unity exp(2 pi i (s j mod n) / n).  The points are
+    evaluated _GRID_BLOCK_ROWS at a time.  n is a multiple of 4, so the
+    n/2 + 2 rows split into even blocks: a block of one row would take
+    numpy's matrix-vector product, which rounds differently, and every row
+    of a larger block is the same row of one whole-grid product.
     """
     T = 2.0 * math.pi / turns
     n = _grid_size(table, T)
@@ -107,8 +115,12 @@ def _half_grid(table: AmplitudeTable, turns: int):
     steps = np.array([(x - lam[0]) // turns for x in lam])
     count = n // 2 + 2
     roots = np.exp(2j * math.pi / n * np.arange(n))
-    phases = roots[np.multiply.outer(np.arange(count), steps) % n]
-    return np.linspace(0.0, T, n + 1)[:count], phase_entropy(table, phases)
+    coarse = np.empty(count)
+    for start in range(0, count, _GRID_BLOCK_ROWS):
+        rows = np.arange(start, min(start + _GRID_BLOCK_ROWS, count))
+        phases = roots[np.multiply.outer(rows, steps) % n]
+        coarse[start : start + len(rows)] = phase_entropy(table, phases)
+    return np.linspace(0.0, T, n + 1)[:count], coarse
 
 
 def _grid_peaks(config: ModelConfig, turns: int):
@@ -146,7 +158,7 @@ def _refine_rank(starts) -> list[np.ndarray]:
     refined = np.empty((count, width))
     live = np.arange(count)
     for _ in range(_MAX_REFINE_STEPS):
-        _, d1, d2 = entropy_derivatives(mult, basis, factors, x)
+        d1, d2 = entropy_derivatives(mult, basis, factors, x)
         lo = np.where(d1 > 0.0, x, lo)
         hi = np.where(d1 < 0.0, x, hi)
         with np.errstate(divide="ignore", invalid="ignore"):

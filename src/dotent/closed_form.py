@@ -122,43 +122,40 @@ def amplitude_table(config: ModelConfig) -> AmplitudeTable:
     (-1)^k C(m, k) [C(N+1-2k, n-k) - 2 C(N-2k, n-k-1)] / C(N-2k, M-k).
     The denominators depend only on k, so every term is scaled to their
     least common multiple L and summed as an integer; the table keeps those
-    sums over L.  Construction is validated against the t = 0 product
-    state on the integer sums: column m must sum to L for m = 0 and to 0
-    otherwise, exactly.
+    sums over L.  Row n's brackets z_k are scaled once by (-1)^k L / D_k,
+    and then each Pascal step z_k <- z_k + z_(k+1) leaves sum_k C(m, k) z_k
+    in z_0 after m steps, for every m in turn: a row costs m' + 1 products
+    and about (m' + 1)^2 / 2 additions, and no C(m, k).  Construction is
+    validated against the t = 0 product state on the integer sums: column
+    m must sum to L for m = 0 and to 0 otherwise, exactly.
     """
     N, M = config.dots, config.excitations
     top = config.m_prime
     denominators = [binomial(N - 2 * k, M - k) for k in range(top + 1)]
     common = math.lcm(*denominators)
-    # k-th term coefficient of column m; terms with k > m vanish
-    weights = [
-        [
-            (-1) ** k * (common // denominators[k]) * binomial(m, k)
-            for k in range(m + 1)
-        ]
-        for m in range(top + 1)
-    ]
-    # bracket of row n; terms with k > n vanish
-    brackets = [
-        [
-            binomial(N + 1 - 2 * k, n - k) - 2 * binomial(N - 2 * k, n - k - 1)
+    scales = [(-1) ** k * (common // d) for k, d in enumerate(denominators)]
+    rows = []
+    for n in range(top + 1):
+        # scaled bracket of row n; terms with k > n vanish
+        z = [
+            scales[k]
+            * (binomial(N + 1 - 2 * k, n - k) - 2 * binomial(N - 2 * k, n - k - 1))
             for k in range(n + 1)
-        ]
-        for n in range(top + 1)
-    ]
-    sums = tuple(
-        tuple(sum(w * b for w, b in zip(column, row)) for column in weights)
-        for row in brackets
-    )
+        ] + [0] * (top - n)
+        row = [z[0]]
+        for _ in range(top):
+            z = list(map(operator.add, z, z[1:]))
+            row.append(z[0])
+        rows.append(tuple(row))
     for m in range(top + 1):
-        column_sum = sum(row[m] for row in sums)
+        column_sum = sum(row[m] for row in rows)
         if column_sum != (common if m == 0 else 0):
             raise NormalizationError(
                 f"initial condition violated in column {m}: "
                 f"sum {Fraction(column_sum, common)}"
             )
     multipliers = tuple(n * (N + 1 - n) - M * (N - M) for n in range(top + 1))
-    return AmplitudeTable(config, sums, common, multipliers)
+    return AmplitudeTable(config, tuple(rows), common, multipliers)
 
 
 def coefficients(table: AmplitudeTable, kts) -> np.ndarray:
@@ -209,8 +206,8 @@ def derivative_basis(table: AmplitudeTable) -> np.ndarray:
 
 def entropy_derivatives(
     multipliers: np.ndarray, basis: np.ndarray, weight_factors: np.ndarray, kts
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entropy E and its first two kt-derivatives, for stacks of same-rank tables.
+) -> tuple[np.ndarray, np.ndarray]:
+    """First two kt-derivatives of the entropy, for stacks of same-rank tables.
 
     multipliers and weight_factors are (..., K), basis is the (..., K, 3K)
     `derivative_basis` and kts is (..., P); each result is (..., P), and
@@ -231,7 +228,7 @@ def entropy_derivatives(
     slope = np.where(w > 0.0, np.log(safe) + 1.0, 0.0)
     d1 = -np.sum(w1 * slope, axis=-1) / math.log(2.0)
     d2 = -np.sum(w2 * slope + w1 * w1 / safe, axis=-1) / math.log(2.0)
-    return _entropy(w), d1, d2
+    return d1, d2
 
 
 def schmidt_spectrum(table: AmplitudeTable, kt: float) -> SchmidtSpectrum:

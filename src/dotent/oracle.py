@@ -17,10 +17,11 @@ from functools import cached_property
 
 import numpy as np
 
-# The hop table at (16, 8) is 12 870 x 64 entries (6.6 MB).  A whole
-# `verify --max-dots 16 --samples 25` takes about 1 s and 58 MB peak RSS
-# on one 2-core Xeon VM with OpenBLAS on one thread.
-DEFAULT_MAX_DOTS = 16
+# The hop table at (18, 9) is 48 620 x 81 entries (31 MB).  That sector
+# takes about 0.9 s and 130 MB peak RSS, and a whole
+# `verify --max-dots 18 --samples 25` about 4.5 s and 150 MB, on one
+# 2-core Xeon VM with OpenBLAS on one thread.
+DEFAULT_MAX_DOTS = 18
 
 
 @dataclass(frozen=True)
@@ -86,8 +87,8 @@ class SectorHamiltonian:
             for _ in range(2):
                 residual -= (earlier @ residual) @ earlier
             norm = np.linalg.norm(residual)
-            # For every sector with N <= 16 the closing residual is at most
-            # 1.7e-29 |H| and every earlier one at least 1.
+            # For every sector with N <= 18 the closing residual is at most
+            # 2.7e-29 |H| and every earlier one at least 1.
             if norm <= 1e-8 * scale:
                 break
             norms.append(norm)

@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from dotent.closed_form import (
     mes_entropy,
     mes_time_m1,
     peak_entropy_m1,
+    phase_entropy,
 )
 
 
@@ -139,6 +141,27 @@ class TestFindMax:
         assert abs(coarse.E_max - dense.E_max) <= 1e-12
         assert abs(coarse.kt_star - dense.kt_star) <= 1e-8
 
+    def test_search_memory_is_bounded(self):
+        # 29 MiB while the whole 10 402-row coarse grid was one phase product.
+        tracemalloc.start()
+        try:
+            find_max(ModelConfig(101, 50))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+def _whole_grid(config):
+    """The table, and E at every point of its half grid from one product."""
+    table, turns = amplitude_table(config), analysis._turns(config)
+    n = analysis._grid_size(table, 2.0 * math.pi / turns)
+    lam = table.phase_multipliers
+    steps = np.array([(x - lam[0]) // turns for x in lam])
+    roots = np.exp(2j * math.pi / n * np.arange(n))
+    phases = roots[np.multiply.outer(np.arange(n // 2 + 2), steps) % n]
+    return table, phase_entropy(table, phases)
+
 
 class TestHalfGrid:
     """The coarse grid scans half the period on exact roots of unity.
@@ -166,6 +189,28 @@ class TestHalfGrid:
             every = np.flatnonzero((inner >= full[:-2]) & (inner >= full[2:])) + 1
             _, _, peaks = analysis._grid_peaks(config, analysis._turns(config))
             assert peaks.tolist() == every[every <= n // 2].tolist()
+
+    def test_blocks_equal_one_whole_grid_product_up_to_forty(self):
+        # Every row count n/2 + 2 is even, so an even block size leaves no
+        # block of one row, whose matrix-vector product rounds differently.
+        assert analysis._GRID_BLOCK_ROWS % 2 == 0
+        for dots in range(2, 41):
+            for m_exc in range(1, dots // 2 + 1):
+                config = ModelConfig(dots, m_exc)
+                table, whole = _whole_grid(config)
+                _, coarse = analysis._half_grid(table, analysis._turns(config))
+                assert np.array_equal(coarse, whole)
+
+    @pytest.mark.parametrize("dots,m_exc", [(60, 30), (101, 50)])
+    @pytest.mark.parametrize("rows", [2, 6, None])
+    def test_blocks_equal_one_whole_grid_product(self, dots, m_exc, rows, monkeypatch):
+        if rows is not None:
+            monkeypatch.setattr(analysis, "_GRID_BLOCK_ROWS", rows)
+        config = ModelConfig(dots, m_exc)
+        table, whole = _whole_grid(config)
+        assert len(whole) > 4 * analysis._GRID_BLOCK_ROWS
+        _, coarse = analysis._half_grid(table, analysis._turns(config))
+        assert np.array_equal(coarse, whole)
 
     def test_odd_grid_refused(self, monkeypatch):
         monkeypatch.setattr(analysis, "_grid_size", lambda table, T: 33)

@@ -24,7 +24,13 @@ from dotent.closed_form import (
     trace_entanglement,
 )
 from dotent.closed_form import amplitude_table as real_amplitude_table
-from dotent.oracle import build_basis, build_hamiltonian, evolve, reduced_entropy
+from dotent.oracle import (
+    DEFAULT_MAX_DOTS,
+    build_basis,
+    build_hamiltonian,
+    evolve,
+    reduced_entropy,
+)
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{14}e[+-]\d{2,}$")
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -614,10 +620,11 @@ class TestVerify:
             raise AssertionError("built a Hamiltonian before checking the budget")
 
         monkeypatch.setattr(cli, "build_hamiltonian", no_build)
-        code, out, err = run_cli(capsys, "verify", "--max-dots", "17")
+        over = str(DEFAULT_MAX_DOTS + 1)
+        code, out, err = run_cli(capsys, "verify", "--max-dots", over)
         assert code == 2
         assert out == ""
-        assert "2..16" in err
+        assert f"2..{DEFAULT_MAX_DOTS}" in err
 
     def test_does_not_import_numpy_ma(self):
         # Plain np.unique(x) imports numpy.ma on first use, a cost every

@@ -16,6 +16,7 @@ import math
 from hypothesis import example, given, settings, strategies as st
 
 import dotent.cli as cli
+from dotent.oracle import DEFAULT_MAX_DOTS
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 JUNK = st.one_of(
@@ -104,7 +105,7 @@ def test_maxent(texts):
 @settings(max_examples=60, deadline=None)
 @given(
     texts=arguments(
-        **{"max-dots": st.one_of(ints(-1, 5), st.just("17"))},
+        **{"max-dots": st.one_of(ints(-1, 5), st.just(str(DEFAULT_MAX_DOTS + 1)))},
         samples=ints(-2, 4),
         tol=st.one_of(st.sampled_from(["1e-9", "1e-15"]), FINITE.map(repr)),
     )

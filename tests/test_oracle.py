@@ -44,7 +44,7 @@ class TestBasis:
 
     def test_budget(self):
         with pytest.raises(ValueError):
-            build_basis(17, 2)
+            build_basis(oracle.DEFAULT_MAX_DOTS + 1, 2)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
@@ -292,7 +292,8 @@ class TestPipeline:
     def test_five_two_at_pi(self):
         assert abs(oracle_entanglement(5, 2, math.pi) - ENTROPY_5_2_AT_PI) < 1e-9
 
-    @pytest.mark.parametrize("dots,m_exc", [(15, 7), (16, 8)])
+    # (18, 9), 48 620 states, is the largest sector DEFAULT_MAX_DOTS admits.
+    @pytest.mark.parametrize("dots,m_exc", [(15, 7), (16, 8), (18, 9)])
     def test_agrees_with_analytical_entropy_at_the_size_cap(self, dots, m_exc):
         from dotent.closed_form import entropy_curve
 
