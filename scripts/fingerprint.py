@@ -1,0 +1,69 @@
+#!/usr/bin/env python3
+# Print one sha256 per domain of the package's numbers, so two checkouts can
+# be compared for bit-identical output: run it in each and diff the lines.
+# Takes no arguments and writes nothing; the package is imported from the
+# checkout's src/ when it is not installed.  Runs in a few seconds.
+
+import contextlib
+import hashlib
+import io
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
+
+from dotent.analysis import sweep_over_M  # noqa: E402
+from dotent.cli import main  # noqa: E402
+from dotent.closed_form import ModelConfig, amplitude_table  # noqa: E402
+
+
+def _cli(*argv: str) -> tuple[str, str]:
+    """stdout and stderr of one command, which must exit 0."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    if code != 0:
+        sys.exit(f"exit code {code}: {' '.join(argv)}")
+    return out.getvalue(), err.getvalue()
+
+
+def tables():
+    for dots in range(1, 65):
+        for excited in range(dots + 1):
+            table = amplitude_table(ModelConfig(dots, excited))
+            yield repr((table.numerators, table.denominator)).encode()
+            yield table.mixing.tobytes() + table.multipliers.tobytes()
+
+
+def sweeps():
+    for dots in range(2, 65):
+        yield repr(sweep_over_M(dots)).encode()
+
+
+def maxent():
+    for dots, excited in ((40, 20), (50, 25), (60, 30), (101, 50)):
+        yield _cli("maxent", "--dots", str(dots), "--excited", str(excited))[0].encode()
+
+
+def trace():
+    # perfbench's seed-0 trace_dense command
+    text, _ = _cli(
+        "trace", "--dots", "40", "--excited", "20", "--periods", "1",
+        "--steps", "50000",
+    )
+    yield text.split("\n", 1)[1].encode()
+
+
+def verify():
+    yield _cli("verify", "--max-dots", "12", "--samples", "25")[1].encode()
+
+
+if __name__ == "__main__":
+    for domain in (tables, sweeps, maxent, trace, verify):
+        digest = hashlib.sha256()
+        for chunk in domain():
+            digest.update(chunk)
+        print(f"{digest.hexdigest()}  {domain.__name__}")

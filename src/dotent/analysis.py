@@ -60,39 +60,31 @@ class InverseLinearFit:
     domain: tuple[int, ...]
 
 
-def _turns(config: ModelConfig) -> int:
-    """Recurrences of the Schmidt spectrum per 2 pi of kt.
-
-    Harmonic n differs from harmonic 0 by the multiplier n (N + 1 - n).
-    With one excitation (or one hole) the only difference is N; otherwise
-    every difference is even for even N, and n = 1 gives the odd N for odd N.
-    """
-    N, M = config.dots, config.excitations
-    if config.m_prime == 0:
-        raise ValueError(f"no dynamics for N={N}, M={M}")
-    if M == 1 or M == N - 1:
-        return N
-    return 2 if N % 2 == 0 else 1
+def _turns(multipliers) -> int:
+    """Recurrences per 2 pi of kt: gcd of the multiplier differences, 0 if static."""
+    return math.gcd(*(x - multipliers[0] for x in multipliers))
 
 
 def period(config: ModelConfig) -> float:
     """Exact recurrence time of the Schmidt spectrum.
 
-    A lone excitation (or lone hole) recurs after 2 pi / N; every other
-    nontrivial filling recurs after pi for even N and 2 pi for odd N.
+    A lone excitation (or lone hole) recurs after 2 pi / N.  Otherwise the
+    multiplier differences n (N + 1 - n) have gcd(N, 2), so T is pi for even
+    N and 2 pi for odd N.
     """
-    return 2.0 * math.pi / _turns(config)
+    turns = _turns(config.phase_multipliers)
+    if not turns:
+        raise ValueError(f"no dynamics for N={config.dots}, M={config.excitations}")
+    return 2.0 * math.pi / turns
 
 
-def _grid_size(table: AmplitudeTable, T: float) -> int:
-    """Coarse grid intervals over one period T, from the spectrum's bandwidth."""
-    bandwidth = max(table.phase_multipliers) - min(table.phase_multipliers)
-    # Divide T by 2 pi first, so the cycle count is exact when T is pi or 2 pi.
-    cycles = bandwidth * (T / (2.0 * math.pi))
-    return max(_MIN_GRID_POINTS, math.ceil(_SAMPLES_PER_CYCLE * cycles))
+def _grid_size(multipliers, turns: int) -> int:
+    """Coarse grid intervals per period, from the bandwidth's exact cycle count."""
+    cycles = (max(multipliers) - min(multipliers)) // turns
+    return max(_MIN_GRID_POINTS, _SAMPLES_PER_CYCLE * cycles)
 
 
-def _half_grid(table: AmplitudeTable, turns: int):
+def _half_grid(table: AmplitudeTable):
     """The first n/2 + 2 points kt_j = j T / n of the coarse grid, and E there.
 
     The weights are even in kt and recur after T = 2 pi / turns, so
@@ -100,18 +92,16 @@ def _half_grid(table: AmplitudeTable, turns: int):
     T / 2 with both of its neighbors.  Relative to harmonic 0, harmonic n
     turns s = (lambda_n - lambda_0) / turns times per period, so at kt_j its
     phase is the root of unity exp(2 pi i (s j mod n) / n).  The points are
-    evaluated _GRID_BLOCK_ROWS at a time.  n is a multiple of 4, so the
-    n/2 + 2 rows split into even blocks: a block of one row would take
-    numpy's matrix-vector product, which rounds differently, and every row
-    of a larger block is the same row of one whole-grid product.
+    evaluated _GRID_BLOCK_ROWS at a time.  n is a multiple of the two grid
+    constants, both multiples of 4, so the n/2 + 2 rows split into even
+    blocks: a block of one row would take numpy's matrix-vector product,
+    which rounds differently, and every row of a larger block is the same
+    row of one whole-grid product.
     """
+    lam = table.config.phase_multipliers
+    turns = _turns(lam)
     T = 2.0 * math.pi / turns
-    n = _grid_size(table, T)
-    if n % 2:
-        raise ArithmeticError(f"odd coarse grid of {n} intervals for {table.config}")
-    lam = table.phase_multipliers
-    if any((x - lam[0]) % turns for x in lam):
-        raise ArithmeticError(f"multipliers {lam} do not recur {turns} times per 2 pi")
+    n = _grid_size(lam, turns)
     steps = np.array([(x - lam[0]) // turns for x in lam])
     count = n // 2 + 2
     roots = np.exp(2j * math.pi / n * np.arange(n))
@@ -123,10 +113,10 @@ def _half_grid(table: AmplitudeTable, turns: int):
     return np.linspace(0.0, T, n + 1)[:count], coarse
 
 
-def _grid_peaks(config: ModelConfig, turns: int):
+def _grid_peaks(config: ModelConfig):
     """Table, first-half coarse grid and its interior grid peaks."""
     table = amplitude_table(config)
-    kts, coarse = _half_grid(table, turns)
+    kts, coarse = _half_grid(table)
     peaks = np.flatnonzero(
         (coarse[1:-1] >= coarse[:-2]) & (coarse[1:-1] >= coarse[2:])
     ) + 1
@@ -208,15 +198,15 @@ def find_maxima(configs) -> list[MaxEntanglementRecord]:
     configs = list(configs)
     searches: dict = {}
     for c in configs:
-        searches.setdefault((c.dots, c.m_prime), (c, _turns(c)))
-    starts = {key: _grid_peaks(c, turns) for key, (c, turns) in searches.items()}
+        period(c)
+        searches.setdefault((c.dots, c.m_prime), c)
+    starts = {key: _grid_peaks(c) for key, c in searches.items()}
     refined = {}
     for rank in {m for _, m in searches}:
         members = [key for key in searches if key[1] == rank]
         refined.update(zip(members, _refine_rank([starts[k] for k in members])))
     records = {
-        key: _record(c, starts[key][0], refined[key])
-        for key, (c, _) in searches.items()
+        key: _record(c, starts[key][0], refined[key]) for key, c in searches.items()
     }
     return [replace(records[c.dots, c.m_prime], config=c) for c in configs]
 

@@ -67,8 +67,8 @@ def _write_csv(path: str, manifest: str, columns, rows) -> None:
     """Write the manifest, the header and the numeric rows to path ('-': stdout).
 
     Cells of the N and M columns print as %d, all others as %.14e, with -0.0
-    printed as 0.0.  Each CHUNK_ROWS rows go through one _csv_lines pass, so
-    a table with an N or M column is printed one row at a time by Python.
+    printed as 0.0.  Each CHUNK_ROWS rows go through one _csv_lines pass.
+    That pass prints every row with a %d cell through Python, whole.
     """
     formats = ["%d" if c in ("N", "M") else "%.14e" for c in columns]
     values = np.asarray(rows, dtype=float)
@@ -240,7 +240,7 @@ def _oracle_comparisons(
                 entropies = reduced_entropy(evolve(hamiltonian, kts), excitations)
                 brute[excitations] = entropies.tolist()
             try:
-                _, entropies, weights = trace_entanglement(config, kts)
+                entropies, weights = trace_entanglement(config, kts)
             except NormalizationError:
                 comparisons.append(
                     (dots, excitations, float("nan"), float("nan"), float("nan"))
@@ -275,15 +275,14 @@ def cmd_trace(args) -> int:
     kt_max = args.kt_max if args.periods is None else args.periods * period(config)
     if not (math.isfinite(kt_max) and kt_max > 0):
         raise ValueError(f"time window must be positive and finite, got {kt_max}")
-    # M (N - M), the n = 0 harmonic's, is the largest |phase multiplier|.
-    step = math.ulp(kt_max) * max(1, args.excited * (args.dots - args.excited))
+    step = math.ulp(kt_max) * max(1, *map(abs, config.phase_multipliers))
     if step >= 1:
         raise ValueError(
             f"time window {kt_max} too long: adjacent times at its end differ by "
             f"{step:.3g} rad of phase, beyond finite precision"
         )
     kts = np.linspace(0.0, kt_max, args.steps + 1)
-    times, entropies, weights = trace_entanglement(config, kts)
+    entropies, weights = trace_entanglement(config, kts)
     manifest = _manifest_line(
         "trace",
         {
@@ -294,7 +293,7 @@ def cmd_trace(args) -> int:
         },
     )
     columns = ["kt", "E"] + [f"P_{m}" for m in range(config.m_prime + 1)]
-    rows = np.column_stack([times, entropies, weights])
+    rows = np.column_stack([kts, entropies, weights])
     _write_csv(args.out, manifest, columns, rows)
     return EXIT_OK
 

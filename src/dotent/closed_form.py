@@ -72,21 +72,26 @@ class ModelConfig:
         """Largest Schmidt index: min(M, N - M)."""
         return min(self.excitations, self.dots - self.excitations)
 
+    @property
+    def phase_multipliers(self) -> tuple[int, ...]:
+        """Integer harmonic frequencies n (N + 1 - n) - M (N - M), n = 0..m'."""
+        N, M = self.dots, self.excitations
+        return tuple(n * (N + 1 - n) - M * (N - M) for n in range(self.m_prime + 1))
+
 
 @dataclass(frozen=True)
 class AmplitudeTable:
     """Exact time-independent data for one (N, M).
 
-    The coefficient of Schmidt branch m is a superposition of harmonics:
-    sum over n of (numerators[n][m] / denominator) * exp(i * phase_multipliers[n]
-    * kt).  Both indices run over 0..m_prime.  The float views below are
-    built on first use and shared by every later evaluation of this table.
+    Branch m's coefficient is the sum over n of the harmonics
+    numerators[n][m] / denominator * exp(i config.phase_multipliers[n] kt),
+    both indices in 0..m_prime.  The float views below are built on first
+    use and shared by every later evaluation of this table.
     """
 
     config: ModelConfig
     numerators: tuple[tuple[int, ...], ...]
     denominator: int
-    phase_multipliers: tuple[int, ...]
 
     @cached_property
     def mixing(self) -> np.ndarray:
@@ -96,7 +101,7 @@ class AmplitudeTable:
 
     @cached_property
     def multipliers(self) -> np.ndarray:
-        return np.array(self.phase_multipliers, dtype=float)
+        return np.array(self.config.phase_multipliers, dtype=float)
 
     @cached_property
     def weight_factors(self) -> np.ndarray:
@@ -116,7 +121,7 @@ class SchmidtSpectrum:
 
 
 def amplitude_table(config: ModelConfig) -> AmplitudeTable:
-    """Build the exact mixing matrix and integer phase multipliers.
+    """Build the exact mixing matrix of one configuration.
 
     Entry (n, m) is the paper's sum over k of
     (-1)^k C(m, k) [C(N+1-2k, n-k) - 2 C(N-2k, n-k-1)] / C(N-2k, M-k).
@@ -154,15 +159,18 @@ def amplitude_table(config: ModelConfig) -> AmplitudeTable:
                 f"initial condition violated in column {m}: "
                 f"sum {Fraction(column_sum, common)}"
             )
-    multipliers = tuple(n * (N + 1 - n) - M * (N - M) for n in range(top + 1))
-    return AmplitudeTable(config, tuple(rows), common, multipliers)
+    return AmplitudeTable(config, tuple(rows), common)
 
 
 def coefficients(table: AmplitudeTable, kts) -> np.ndarray:
     """Complex branch coefficients in double precision, one row per time in kts.
 
-    A scalar time gives the single row of its coefficients.
+    A scalar time gives the single row of its coefficients.  The curve,
+    spectrum and trace evaluations pass here, and refuse a NaN or infinite time.
     """
+    bad = np.asarray(kts)[~np.isfinite(kts)]
+    if bad.size:
+        raise ValueError(f"time must be finite, got kt={bad.flat[0]}")
     return np.exp(1j * np.multiply.outer(kts, table.multipliers)) @ table.mixing
 
 
@@ -246,16 +254,13 @@ def entanglement(spectrum: SchmidtSpectrum) -> float:
     return float(_entropy(np.asarray(spectrum.weights, dtype=float)))
 
 
-def trace_entanglement(
-    config: ModelConfig, kts
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Times, entropies and Schmidt weights along a time grid, from one table.
+def trace_entanglement(config: ModelConfig, kts) -> tuple[np.ndarray, np.ndarray]:
+    """Entropies and Schmidt weights along a time grid, from one table.
 
-    Row i of the 2-D weights belongs to times[i].
+    Entry i of the entropies and row i of the 2-D weights belong to kts[i].
     """
-    times = np.atleast_1d(np.asarray(kts, dtype=float))
-    weights = spectrum_curve(amplitude_table(config), times)
-    return times, _entropy(weights), weights
+    weights = spectrum_curve(amplitude_table(config), kts)
+    return _entropy(weights), weights
 
 
 def mes_entropy(config: ModelConfig) -> float:

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 import math
 import pathlib
@@ -118,8 +117,8 @@ class TestFindMax:
         [(40, 1, 32), (40, 2, 312), (40, 20, 1680), (60, 30, 3720), (100, 50, 10200)],
     )
     def test_grid_follows_the_bandwidth(self, dots, m_exc, size):
-        config = ModelConfig(dots, m_exc)
-        assert analysis._grid_size(amplitude_table(config), period(config)) == size
+        lam = ModelConfig(dots, m_exc).phase_multipliers
+        assert analysis._grid_size(lam, analysis._turns(lam)) == size
 
     @pytest.mark.parametrize("dots,m_exc", SEARCH_CONFIGS)
     def test_no_dense_grid_point_beats_the_peak(self, dots, m_exc):
@@ -154,9 +153,9 @@ class TestFindMax:
 
 def _whole_grid(config):
     """The table, and E at every point of its half grid from one product."""
-    table, turns = amplitude_table(config), analysis._turns(config)
-    n = analysis._grid_size(table, 2.0 * math.pi / turns)
-    lam = table.phase_multipliers
+    table, lam = amplitude_table(config), config.phase_multipliers
+    turns = analysis._turns(lam)
+    n = analysis._grid_size(lam, turns)
     steps = np.array([(x - lam[0]) // turns for x in lam])
     roots = np.exp(2j * math.pi / n * np.arange(n))
     phases = roots[np.multiply.outer(np.arange(n // 2 + 2), steps) % n]
@@ -176,29 +175,33 @@ class TestHalfGrid:
         for m_exc in range(1, dots // 2 + 1):
             config = ModelConfig(dots, m_exc)
             table, T = amplitude_table(config), period(config)
-            n = analysis._grid_size(table, T)
+            lam = config.phase_multipliers
+            n = analysis._grid_size(lam, analysis._turns(lam))
             assert n % 4 == 0
             full_kts = np.linspace(0.0, T, n + 1)
             full = entropy_curve(table, full_kts)
             head = n // 2 + 2
-            kts, coarse = analysis._half_grid(table, analysis._turns(config))
+            kts, coarse = analysis._half_grid(table)
             assert kts.tolist() == full_kts[:head].tolist()
             assert np.abs(coarse - full[:head]).max() <= 1e-13
             assert np.abs(entropy_curve(table, T - kts) - full[:head]).max() <= 1e-13
             inner = full[1:-1]
             every = np.flatnonzero((inner >= full[:-2]) & (inner >= full[2:])) + 1
-            _, _, peaks = analysis._grid_peaks(config, analysis._turns(config))
+            _, _, peaks = analysis._grid_peaks(config)
             assert peaks.tolist() == every[every <= n // 2].tolist()
 
     def test_blocks_equal_one_whole_grid_product_up_to_forty(self):
-        # Every row count n/2 + 2 is even, so an even block size leaves no
-        # block of one row, whose matrix-vector product rounds differently.
+        # Both grid constants are multiples of 4, so every row count n/2 + 2
+        # is even, and an even block size leaves no block of one row, whose
+        # matrix-vector product rounds differently.
+        assert analysis._SAMPLES_PER_CYCLE % 4 == 0
+        assert analysis._MIN_GRID_POINTS % 4 == 0
         assert analysis._GRID_BLOCK_ROWS % 2 == 0
         for dots in range(2, 41):
             for m_exc in range(1, dots // 2 + 1):
                 config = ModelConfig(dots, m_exc)
                 table, whole = _whole_grid(config)
-                _, coarse = analysis._half_grid(table, analysis._turns(config))
+                _, coarse = analysis._half_grid(table)
                 assert np.array_equal(coarse, whole)
 
     @pytest.mark.parametrize("dots,m_exc", [(60, 30), (101, 50)])
@@ -209,22 +212,8 @@ class TestHalfGrid:
         config = ModelConfig(dots, m_exc)
         table, whole = _whole_grid(config)
         assert len(whole) > 4 * analysis._GRID_BLOCK_ROWS
-        _, coarse = analysis._half_grid(table, analysis._turns(config))
+        _, coarse = analysis._half_grid(table)
         assert np.array_equal(coarse, whole)
-
-    def test_odd_grid_refused(self, monkeypatch):
-        monkeypatch.setattr(analysis, "_grid_size", lambda table, T: 33)
-        with pytest.raises(ArithmeticError, match="odd coarse grid"):
-            find_max(ModelConfig(5, 2))
-
-    def test_multipliers_off_the_period_refused(self):
-        table = amplitude_table(ModelConfig(6, 2))
-        lam = table.phase_multipliers
-        broken = dataclasses.replace(
-            table, phase_multipliers=(lam[0], lam[1] + 1, lam[2])
-        )
-        with pytest.raises(ArithmeticError, match="do not recur 2 times"):
-            analysis._half_grid(broken, 2)
 
 
 class TestSweeps:

@@ -193,8 +193,8 @@ class TestTrace:
 
     @pytest.mark.parametrize("dots, excited", [(2, 1), (7, 3), (12, 6)])
     def test_longest_window_resolves_a_radian(self, capsys, dots, excited):
-        multipliers = real_amplitude_table(ModelConfig(dots, excited)).phase_multipliers
-        fastest = max(abs(m) for m in multipliers)
+        table = real_amplitude_table(ModelConfig(dots, excited))
+        fastest = max(abs(m) for m in table.config.phase_multipliers)
         # The first power of two at which the float spacing times fastest is 1.
         limit = 2.0 ** math.ceil(52 - math.log2(fastest))
         for kt_max, want in ((np.nextafter(limit, 0.0), 0), (limit, 2)):
@@ -212,9 +212,9 @@ class TestTrace:
                 "--steps", "3000"]
         config = ModelConfig(40, 20)
         kts = np.linspace(0.0, analysis.period(config), 3001)
-        times, entropies, weights = trace_entanglement(config, kts)
+        entropies, weights = trace_entanglement(config, kts)
         columns = ["kt", "E"] + [f"P_{m}" for m in range(21)]
-        rows = np.column_stack([times, entropies, weights])
+        rows = np.column_stack([kts, entropies, weights])
         want = ",".join(columns) + "\n" + _reference_lines(columns, rows)
         # Python prints the kt = 0 row, whose zeros the kernel cannot; the
         # kernel prints every other row, weights below 1e-8 included, from

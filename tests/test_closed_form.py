@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dotent.closed_form
-from dotent.analysis import find_max
+from dotent.analysis import find_max, period
 from dotent.closed_form import (
     ModelConfig,
     NormalizationError,
@@ -147,13 +147,13 @@ class TestAmplitudeTable:
     def test_two_dots_single_excitation_exact(self):
         table = amplitude_table(ModelConfig(2, 1))
         assert (table.numerators, table.denominator) == (((1, 1), (1, -1)), 2)
-        assert table.phase_multipliers == (-1, 1)
+        assert table.config.phase_multipliers == (-1, 1)
 
     def test_no_excitations_is_static(self):
         for n in (1, 3, 8):
             table = amplitude_table(ModelConfig(n, 0))
             assert (table.numerators, table.denominator) == (((1,),), 1)
-            assert table.phase_multipliers == (0,)
+            assert table.config.phase_multipliers == (0,)
 
     @pytest.mark.parametrize("dots", range(1, 11))
     def test_start_state_columns_exact(self, dots):
@@ -173,7 +173,7 @@ class TestAmplitudeTable:
             mirror = amplitude_table(ModelConfig(dots, dots - m_exc))
             assert table.numerators == mirror.numerators
             assert table.denominator == mirror.denominator
-            assert table.phase_multipliers == mirror.phase_multipliers
+            assert table.config.phase_multipliers == mirror.config.phase_multipliers
             assert table.weight_factors.tolist() == mirror.weight_factors.tolist()
 
     @pytest.mark.parametrize("dots", range(1, 25))
@@ -181,14 +181,14 @@ class TestAmplitudeTable:
         for excited in range(dots + 1):
             table = amplitude_table(ModelConfig(dots, excited))
             paper = _paper_table(dots, excited)
-            assert (_fractions(table), table.phase_multipliers) == paper
+            assert (_fractions(table), table.config.phase_multipliers) == paper
             assert table.mixing.tolist() == [[float(v) for v in r] for r in paper[0]]
 
     @pytest.mark.parametrize("dots,excited", LARGE_SECTORS)
     def test_matches_paper_formula_at_large_size(self, dots, excited):
         table = amplitude_table(ModelConfig(dots, excited))
         paper = _paper_table(dots, excited)
-        assert (_fractions(table), table.phase_multipliers) == paper
+        assert (_fractions(table), table.config.phase_multipliers) == paper
         assert table.mixing.tolist() == [[float(v) for v in r] for r in paper[0]]
 
     def test_pascal_steps_equal_the_per_term_sums(self):
@@ -223,7 +223,7 @@ class TestAmplitudeTable:
 
     def test_phase_multipliers_formula(self):
         table = amplitude_table(ModelConfig(9, 4))
-        for n, mult in enumerate(table.phase_multipliers):
+        for n, mult in enumerate(table.config.phase_multipliers):
             assert mult == n * (9 + 1 - n) - 4 * (9 - 4)
 
 
@@ -271,10 +271,19 @@ class TestSchmidtSpectrum:
         for got, want in zip(spec.weights, exact):
             assert abs(got - float(want)) < 1e-12
 
-    @pytest.mark.parametrize("kt", [math.nan, math.inf])
+    @pytest.mark.parametrize("kt", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_is_flagged(self, kt):
-        with pytest.raises(NormalizationError), np.errstate(invalid="ignore"):
-            schmidt_spectrum(amplitude_table(ModelConfig(5, 2)), kt)
+        # Refused as input before any evaluation, not reported as a corrupt
+        # table or passed on as NaN rows.
+        config = ModelConfig(5, 2)
+        table = amplitude_table(config)
+        for evaluate in (
+            lambda: schmidt_spectrum(table, kt),
+            lambda: entropy_curve(table, [0.3, kt, 1.0]),
+            lambda: trace_entanglement(config, np.array([0.0, 0.5, kt])),
+        ):
+            with pytest.raises(ValueError, match=f"must be finite, got kt={kt}"):
+                evaluate()
 
     def test_broken_table_is_flagged(self):
         table = amplitude_table(ModelConfig(6, 2))
@@ -527,7 +536,7 @@ class TestPiTimeMagnitudes:
 
 
 class TestPeriodicityOfSpectra:
-    @pytest.mark.parametrize("dots", range(2, 13))
+    @pytest.mark.parametrize("dots", range(2, 41))
     def test_exact_recurrence(self, dots):
         for m_exc in range(1, dots):
             config = ModelConfig(dots, m_exc)
@@ -537,6 +546,7 @@ class TestPeriodicityOfSpectra:
                 T = math.pi
             else:
                 T = 2 * math.pi
+            assert period(config) == T
             table = amplitude_table(config)
             kts = np.linspace(0.0, T, 11)
             gap = np.abs(
@@ -548,13 +558,12 @@ class TestPeriodicityOfSpectra:
 def test_trace_shares_one_table():
     config = ModelConfig(6, 2)
     kts = np.linspace(0.0, math.pi, 33)
-    times, entropies, weights = trace_entanglement(config, kts)
-    assert times.tolist() == kts.tolist()
+    entropies, weights = trace_entanglement(config, kts)
     assert weights.shape == (33, config.m_prime + 1)
     assert entropies.shape == (33,)
     assert max(entropies) <= mes_entropy(config) + 1e-12
     assert min(entropies) >= 0.0
-    for t, e, row in zip(times, entropies, weights):
+    for t, e, row in zip(kts, entropies, weights):
         spec = SchmidtSpectrum(float(t), tuple(row.tolist()))
         assert abs(sum(spec.weights) - 1.0) < 1e-12
         assert abs(entanglement(spec) - e) < 1e-12

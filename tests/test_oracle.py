@@ -106,8 +106,9 @@ class TestHamiltonian:
         for m_exc in range(0, dots + 1):
             table = amplitude_table(ModelConfig(dots, m_exc))
             values = build_hamiltonian(build_basis(dots, m_exc)).eigensystem[0]
-            expected = np.sort(-np.array(table.phase_multipliers, dtype=float))
-            assert len(set(table.phase_multipliers)) == min(m_exc, dots - m_exc) + 1
+            multipliers = table.config.phase_multipliers
+            expected = np.sort(-np.array(multipliers, dtype=float))
+            assert len(set(multipliers)) == min(m_exc, dots - m_exc) + 1
             assert len(values) == len(expected)
             assert np.abs(np.sort(values) - expected).max() < 1e-10
 
