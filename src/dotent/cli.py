@@ -234,20 +234,21 @@ def _oracle_comparisons(
         for excitations in range(0, dots + 1):
             config = ModelConfig(dots, excitations)
             window = period(config) if config.m_prime else 2.0 * math.pi
-            kts = np.arange(samples_per_period) * window / samples_per_period
+            # the first samples_per_period times of trace_entanglement's grid
+            kts = np.linspace(0.0, window, samples_per_period + 1)[:-1]
             if excitations <= dots - excitations:
                 hamiltonian = build_hamiltonian(build_basis(dots, excitations))
                 entropies = reduced_entropy(evolve(hamiltonian, kts), excitations)
                 brute[excitations] = entropies.tolist()
             try:
-                entropies, weights = trace_entanglement(config, kts)
+                rows = trace_entanglement(config, window, samples_per_period)[:-1]
             except NormalizationError:
                 comparisons.append(
                     (dots, excitations, float("nan"), float("nan"), float("nan"))
                 )
                 continue
-            normalized = np.abs(weights.sum(axis=1) - 1.0) <= SPECTRUM_SUM_TOL
-            analytical = np.where(normalized, entropies, np.nan)
+            normalized = np.abs(rows[:, 2:].sum(axis=1) - 1.0) <= SPECTRUM_SUM_TOL
+            analytical = np.where(normalized, rows[:, 1], np.nan)
             for kt, a, b in zip(
                 kts.tolist(), analytical.tolist(), brute[config.m_prime]
             ):
@@ -273,16 +274,13 @@ def cmd_trace(args) -> int:
     if args.steps < 2:
         raise ValueError(f"need at least 2 steps, got {args.steps}")
     kt_max = args.kt_max if args.periods is None else args.periods * period(config)
-    if not (math.isfinite(kt_max) and kt_max > 0):
-        raise ValueError(f"time window must be positive and finite, got {kt_max}")
     step = math.ulp(kt_max) * max(1, *map(abs, config.phase_multipliers))
     if step >= 1:
         raise ValueError(
             f"time window {kt_max} too long: adjacent times at its end differ by "
             f"{step:.3g} rad of phase, beyond finite precision"
         )
-    kts = np.linspace(0.0, kt_max, args.steps + 1)
-    entropies, weights = trace_entanglement(config, kts)
+    rows = trace_entanglement(config, kt_max, args.steps)
     manifest = _manifest_line(
         "trace",
         {
@@ -293,7 +291,6 @@ def cmd_trace(args) -> int:
         },
     )
     columns = ["kt", "E"] + [f"P_{m}" for m in range(config.m_prime + 1)]
-    rows = np.column_stack([kts, entropies, weights])
     _write_csv(args.out, manifest, columns, rows)
     return EXIT_OK
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -280,10 +281,11 @@ class TestSchmidtSpectrum:
         for evaluate in (
             lambda: schmidt_spectrum(table, kt),
             lambda: entropy_curve(table, [0.3, kt, 1.0]),
-            lambda: trace_entanglement(config, np.array([0.0, 0.5, kt])),
         ):
             with pytest.raises(ValueError, match=f"must be finite, got kt={kt}"):
                 evaluate()
+        with pytest.raises(ValueError, match=f"positive and finite, got kt_max={kt}"):
+            trace_entanglement(config, kt, 4)
 
     def test_broken_table_is_flagged(self):
         table = amplitude_table(ModelConfig(6, 2))
@@ -557,13 +559,118 @@ class TestPeriodicityOfSpectra:
 
 def test_trace_shares_one_table():
     config = ModelConfig(6, 2)
-    kts = np.linspace(0.0, math.pi, 33)
-    entropies, weights = trace_entanglement(config, kts)
-    assert weights.shape == (33, config.m_prime + 1)
-    assert entropies.shape == (33,)
+    rows = trace_entanglement(config, math.pi, 32)
+    assert rows.shape == (33, config.m_prime + 3)
+    kts, entropies, weights = rows[:, 0], rows[:, 1], rows[:, 2:]
     assert max(entropies) <= mes_entropy(config) + 1e-12
     assert min(entropies) >= 0.0
     for t, e, row in zip(kts, entropies, weights):
         spec = SchmidtSpectrum(float(t), tuple(row.tolist()))
         assert abs(sum(spec.weights) - 1.0) < 1e-12
         assert abs(entanglement(spec) - e) < 1e-12
+
+
+def _phase_resolution_limit(config):
+    """The first window at which cmd_trace's phase-resolution guard refuses."""
+    fastest = max(abs(m) for m in config.phase_multipliers)
+    return 2.0 ** math.ceil(52 - math.log2(fastest))
+
+
+class TestTraceGrid:
+    """trace_entanglement's blockwise grid against the per-time evaluation."""
+
+    # K = 1 at (1, 0); a window next to cmd_trace's phase-resolution guard;
+    # for every steps but 1 the last block of b times runs past the grid
+    # (224 blocks of 224 times for 50 001 rows).
+    @pytest.mark.parametrize(
+        "dots, excited, kt_max, steps",
+        [
+            (1, 0, 1.0, 1),
+            (1, 0, 1.0, 2),
+            (1, 0, 1.0, 3),
+            (5, 2, 2.0, 1),
+            (5, 2, 2.0, 2),
+            (5, 2, 2.0, 3),
+            (7, 3, 2 * math.pi, 1024),
+            (11, 3, 2 * math.pi, 2048),
+            (40, 20, math.pi, 50000),
+            (7, 3, "guard", 64),
+        ],
+    )
+    def test_matches_spectrum_curve(self, dots, excited, kt_max, steps):
+        # A time's phases come from two grid times whose sum is off by a few
+        # ulp of kt_max, so each phase moves by that times its multiplier.
+        # Measured: |dP| <= 0.27 and |dE| <= 0.9 of this scale.
+        config = ModelConfig(dots, excited)
+        if kt_max == "guard":
+            kt_max = float(np.nextafter(_phase_resolution_limit(config), 0.0))
+        scale = max(1, *map(abs, config.phase_multipliers)) * math.ulp(kt_max)
+        rows = trace_entanglement(config, kt_max, steps)
+        kts = np.linspace(0.0, kt_max, steps + 1)
+        assert rows.shape == (steps + 1, config.m_prime + 3)
+        assert rows[:, 0].tobytes() == kts.tobytes()
+        table = amplitude_table(config)
+        assert np.abs(rows[:, 2:] - spectrum_curve(table, kts)).max() <= scale
+        assert np.abs(rows[:, 1] - entropy_curve(table, kts)).max() <= 4 * scale
+
+    @pytest.mark.parametrize(
+        "dots, excited, steps", [(7, 3, 1024), (11, 3, 2048), (40, 20, 50000)]
+    )
+    def test_weights_match_a_long_double_reference(self, dots, excited, steps):
+        # The exact weights of the float table at the printed times.  l kt is
+        # exact in 64 mantissa bits, so only cos, sin and the sums round.
+        # Measured: within 4.7e-15, where the per-time path is within 1.6e-15
+        # and the phase rounding of either path is max|l| kt_max 2**-52.
+        config = ModelConfig(dots, excited)
+        kt_max = period(config)
+        rows = trace_entanglement(config, kt_max, steps)
+        table = amplitude_table(config)
+        angles = np.multiply.outer(
+            rows[:, 0].astype(np.longdouble),
+            np.array(config.phase_multipliers, dtype=np.longdouble),
+        )
+        mixing = table.mixing.astype(np.longdouble)
+        re, im = np.cos(angles) @ mixing, np.sin(angles) @ mixing
+        exact = table.weight_factors.astype(np.longdouble) * (re * re + im * im)
+        bound = max(map(abs, config.phase_multipliers)) * kt_max * 2.0**-52
+        assert float(np.abs(rows[:, 2:] - exact).max()) <= bound
+
+    def test_memory_peak_at_the_benchmark_trace(self):
+        # The per-time path peaked at 32.5 MiB here, with two complex
+        # temporaries per cell; the grid path holds one and read 26.2 MiB.
+        config = ModelConfig(40, 20)
+        kt_max = period(config)
+        amplitude_table(config)
+        tracemalloc.start()
+        try:
+            rows = trace_entanglement(config, kt_max, 50000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (50001, 23)
+        assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize(
+        "kt_max, steps, message",
+        [
+            (math.nan, 4, "positive and finite"),
+            (math.inf, 4, "positive and finite"),
+            (0.0, 4, "positive and finite"),
+            (-1.0, 4, "positive and finite"),
+            (True, 4, "positive and finite"),
+            (1.0, 0, "at least one step"),
+            (1.0, -3, "at least one step"),
+            (1.0, 2.5, "integer"),
+            (1.0, 4.0, "integer"),
+            (1.0, True, "integer"),
+        ],
+    )
+    def test_bad_window_or_steps_refused_before_any_table(
+        self, monkeypatch, kt_max, steps, message
+    ):
+        def no_table(config):
+            raise AssertionError("built a table before checking arguments")
+
+        monkeypatch.setattr(dotent.closed_form, "amplitude_table", no_table)
+        with pytest.raises(ValueError, match=message):
+            trace_entanglement(ModelConfig(5, 2), kt_max, steps)
