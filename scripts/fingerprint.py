@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 # Print one sha256 per domain of the package's numbers, so two checkouts can
 # be compared for bit-identical output: run it in each and diff the lines.
-# Takes no arguments and writes nothing; the package is imported from the
-# checkout's src/ when it is not installed.  Runs in a few seconds.
+# The last domain, refusals, covers which edge inputs the CLI accepts: the
+# exit code and stderr of each.  Takes no arguments and writes nothing; the
+# package is imported from the checkout's src/ when it is not installed.
+# Runs in a few seconds.
 
 import contextlib
 import hashlib
@@ -20,14 +22,35 @@ from dotent.cli import main  # noqa: E402
 from dotent.closed_form import ModelConfig, amplitude_table  # noqa: E402
 
 
-def _cli(*argv: str) -> tuple[str, str]:
-    """stdout and stderr of one command, which must exit 0."""
+# Edge inputs of each command, on either side of a refusal.
+REFUSALS = (
+    ("trace", "--dots", "12", "--excited", "6", "--kt-max", "1e300", "--steps", "4"),
+    ("trace", "--dots", "6", "--excited", "2", "--kt-max", "1.0", "--steps", "0"),
+    ("trace", "--dots", "6", "--excited", "2", "--kt-max", "1.0", "--steps", "1"),
+    ("trace", "--dots", "1", "--excited", "0", "--periods", "1", "--steps", "4"),
+    ("maxent", "--dots", "2", "--excited", "2"),
+    ("sweep", "--dots", "3..2", "--excited", "1"),
+    ("fit", "--excited", "0", "--dots", "7..10"),
+    ("verify", "--max-dots", "1"),
+    ("verify", "--samples", "0"),
+    ("verify", "--tol", "nan"),
+)
+
+
+def _run(*argv: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one command."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _cli(*argv: str) -> tuple[str, str]:
+    """stdout and stderr of one command, which must exit 0."""
+    code, out, err = _run(*argv)
     if code != 0:
         sys.exit(f"exit code {code}: {' '.join(argv)}")
-    return out.getvalue(), err.getvalue()
+    return out, err
 
 
 def tables():
@@ -61,8 +84,15 @@ def verify():
     yield _cli("verify", "--max-dots", "12", "--samples", "25")[1].encode()
 
 
+def refusals():
+    # stdout is left out: an accepted trace's manifest carries a timestamp.
+    for argv in REFUSALS:
+        code, _, err = _run(*argv)
+        yield repr((argv, code, err)).encode()
+
+
 if __name__ == "__main__":
-    for domain in (tables, sweeps, maxent, trace, verify):
+    for domain in (tables, sweeps, maxent, trace, verify, refusals):
         digest = hashlib.sha256()
         for chunk in domain():
             digest.update(chunk)

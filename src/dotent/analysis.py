@@ -12,13 +12,13 @@ from .closed_form import (
     ModelConfig,
     SchmidtSpectrum,
     _at_least_two_dots,
+    _entropy,
     amplitude_table,
     as_integer,
     derivative_basis,
     entropy_curve,
     entropy_derivatives,
     mes_entropy,
-    phase_entropy,
     schmidt_spectrum,
 )
 
@@ -91,12 +91,13 @@ def _half_grid(table: AmplitudeTable):
     E(T - kt) = E(kt): the points j = 0..n/2 + 1 hold every peak up to
     T / 2 with both of its neighbors.  Relative to harmonic 0, harmonic n
     turns s = (lambda_n - lambda_0) / turns times per period, so at kt_j its
-    phase is the root of unity exp(2 pi i (s j mod n) / n).  The points are
-    evaluated _GRID_BLOCK_ROWS at a time.  n is a multiple of the two grid
-    constants, both multiples of 4, so the n/2 + 2 rows split into even
-    blocks: a block of one row would take numpy's matrix-vector product,
-    which rounds differently, and every row of a larger block is the same
-    row of one whole-grid product.
+    phase is the root of unity exp(2 pi i (s j mod n) / n); harmonic 0's
+    own phase cancels in every weight.  Each block of _GRID_BLOCK_ROWS
+    points takes one product of its phases with the mixing matrix.  n is a
+    multiple of the two grid constants, both multiples of 4, so the n/2 + 2
+    rows split into even blocks: a block of one row would take numpy's
+    matrix-vector product, which rounds differently, and every row of a
+    larger block is the same row of one whole-grid product.
     """
     lam = table.config.phase_multipliers
     turns = _turns(lam)
@@ -108,8 +109,9 @@ def _half_grid(table: AmplitudeTable):
     coarse = np.empty(count)
     for start in range(0, count, _GRID_BLOCK_ROWS):
         rows = np.arange(start, min(start + _GRID_BLOCK_ROWS, count))
-        phases = roots[np.multiply.outer(rows, steps) % n]
-        coarse[start : start + len(rows)] = phase_entropy(table, phases)
+        coeff = roots[np.multiply.outer(rows, steps) % n] @ table.mixing
+        weights = table.weight_factors * np.abs(coeff) ** 2
+        coarse[start : start + len(rows)] = _entropy(weights)
     return np.linspace(0.0, T, n + 1)[:count], coarse
 
 

@@ -162,15 +162,22 @@ def amplitude_table(config: ModelConfig) -> AmplitudeTable:
     return AmplitudeTable(config, tuple(rows), common)
 
 
+def _finite_times(kts) -> np.ndarray:
+    """kts as a float array of any shape, refused if a time is NaN or infinite."""
+    kts = np.asarray(kts, dtype=float)
+    bad = kts[~np.isfinite(kts)]
+    if bad.size:
+        raise ValueError(f"time must be finite, got kt={bad.flat[0]}")
+    return kts
+
+
 def coefficients(table: AmplitudeTable, kts) -> np.ndarray:
     """Complex branch coefficients in double precision, one row per time in kts.
 
     A scalar time gives the single row of its coefficients.  The curve and
     spectrum evaluations pass here, and refuse a NaN or infinite time.
     """
-    bad = np.asarray(kts)[~np.isfinite(kts)]
-    if bad.size:
-        raise ValueError(f"time must be finite, got kt={bad.flat[0]}")
+    kts = _finite_times(kts)
     return np.exp(1j * np.multiply.outer(kts, table.multipliers)) @ table.mixing
 
 
@@ -192,16 +199,6 @@ def entropy_curve(table: AmplitudeTable, kts) -> np.ndarray:
     return _entropy(spectrum_curve(table, kts))
 
 
-def phase_entropy(table: AmplitudeTable, phases: np.ndarray) -> np.ndarray:
-    """Entanglement entropy (base 2) for each row of harmonic phase factors.
-
-    Row i holds exp(i * multipliers * kt_i) for one time, up to a factor
-    common to the row, which cancels in every weight.
-    """
-    coeff = phases @ table.mixing
-    return _entropy(table.weight_factors * np.abs(coeff) ** 2)
-
-
 def derivative_basis(table: AmplitudeTable) -> np.ndarray:
     """The K x 3K matrix [mix | i mult mix | -mult**2 mix] of one table.
 
@@ -220,9 +217,10 @@ def entropy_derivatives(
     multipliers and weight_factors are (..., K), basis is the (..., K, 3K)
     `derivative_basis` and kts is (..., P); each result is (..., P), and
     every leading index is one table with its own times.  Branches of zero
-    weight add nothing, as in the entropy itself.
+    weight add nothing, as in the entropy itself.  A NaN or infinite time
+    is refused, as in `coefficients`.
     """
-    kts = np.asarray(kts, dtype=float)
+    kts = _finite_times(kts)
     phases = np.exp(1j * (kts[..., :, None] * multipliers[..., None, :]))
     K = multipliers.shape[-1]
     both = phases @ basis
@@ -293,7 +291,9 @@ def trace_entanglement(config: ModelConfig, kt_max: float, steps: int) -> np.nda
     Row j holds kt_j (exactly np.linspace(0, kt_max, steps + 1)), the
     entropy and the Schmidt weights P_0..P_m'.  The phases are evaluated
     blockwise (`_grid_magnitudes`); `spectrum_curve` is the path for
-    arbitrary times.  kt_max and steps are checked before the table is built.
+    arbitrary times.  Before the table is built, steps must be an integer
+    of at least 1, kt_max positive and finite, and its float spacing less
+    than a radian of phase in the fastest harmonic.
     """
     steps = as_integer("steps", steps)
     if steps < 1:
@@ -301,6 +301,12 @@ def trace_entanglement(config: ModelConfig, kt_max: float, steps: int) -> np.nda
     if isinstance(kt_max, bool) or not (math.isfinite(kt_max) and kt_max > 0):
         raise ValueError(
             f"time window must be positive and finite, got kt_max={kt_max}"
+        )
+    step = math.ulp(kt_max) * max(1, *map(abs, config.phase_multipliers))
+    if step >= 1:
+        raise ValueError(
+            f"time window {kt_max} too long: adjacent times at its end differ by "
+            f"{step:.3g} rad of phase, beyond finite precision"
         )
     table = amplitude_table(config)
     kts = np.linspace(0.0, kt_max, steps + 1)

@@ -20,13 +20,13 @@ from dotent.analysis import (
 from dotent.cli import _parse_dots_spec
 from dotent.closed_form import (
     ModelConfig,
+    _entropy,
     amplitude_table,
     entanglement,
     entropy_curve,
     mes_entropy,
     mes_time_m1,
     peak_entropy_m1,
-    phase_entropy,
 )
 
 
@@ -152,14 +152,19 @@ class TestFindMax:
 
 
 def _whole_grid(config):
-    """The table, and E at every point of its half grid from one product."""
+    """The table, and E at every point of its half grid from one product.
+
+    The reference for `_half_grid`'s blocks: the phases of all points times
+    the mixing matrix in one product, and their entropy.
+    """
     table, lam = amplitude_table(config), config.phase_multipliers
     turns = analysis._turns(lam)
     n = analysis._grid_size(lam, turns)
     steps = np.array([(x - lam[0]) // turns for x in lam])
     roots = np.exp(2j * math.pi / n * np.arange(n))
     phases = roots[np.multiply.outer(np.arange(n // 2 + 2), steps) % n]
-    return table, phase_entropy(table, phases)
+    weights = table.weight_factors * np.abs(phases @ table.mixing) ** 2
+    return table, _entropy(weights)
 
 
 class TestHalfGrid:

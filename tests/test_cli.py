@@ -191,19 +191,28 @@ class TestTrace:
         assert out == ""
         assert "beyond finite precision" in err
 
+    # The rule is trace_entanglement's, and the CLI draws it at the same window.
     @pytest.mark.parametrize("dots, excited", [(2, 1), (7, 3), (12, 6)])
-    def test_longest_window_resolves_a_radian(self, capsys, dots, excited):
-        table = real_amplitude_table(ModelConfig(dots, excited))
-        fastest = max(abs(m) for m in table.config.phase_multipliers)
+    @pytest.mark.parametrize("path", ["cli", "library"])
+    def test_longest_window_resolves_a_radian(self, capsys, path, dots, excited):
+        config = ModelConfig(dots, excited)
+        fastest = max(abs(m) for m in config.phase_multipliers)
         # The first power of two at which the float spacing times fastest is 1.
         limit = 2.0 ** math.ceil(52 - math.log2(fastest))
-        for kt_max, want in ((np.nextafter(limit, 0.0), 0), (limit, 2)):
-            code, out, _ = run_cli(
-                capsys, "trace", "--dots", str(dots), "--excited", str(excited),
-                "--kt-max", repr(float(kt_max)), "--steps", "2",
-            )
-            assert code == want, kt_max
-            assert (out == "") == (want == 2)
+        for kt_max, refused in ((np.nextafter(limit, 0.0), False), (limit, True)):
+            kt_max = float(kt_max)
+            if path == "cli":
+                code, out, _ = run_cli(
+                    capsys, "trace", "--dots", str(dots), "--excited", str(excited),
+                    "--kt-max", repr(kt_max), "--steps", "2",
+                )
+                assert code == (2 if refused else 0), kt_max
+                assert (out == "") == refused
+            elif refused:
+                with pytest.raises(ValueError, match="beyond finite precision"):
+                    trace_entanglement(config, kt_max, 2)
+            else:
+                assert trace_entanglement(config, kt_max, 2)[-1, 0] == kt_max
 
     def test_rows_match_the_reference_bytes(
         self, capsys, tmp_path, same_lines, python_rows
@@ -230,11 +239,23 @@ class TestTrace:
         assert python_rows == zero_rows.tolist() * 2
 
     def test_too_few_steps(self, capsys):
-        code, _, _ = run_cli(
+        code, out, err = run_cli(
+            capsys, "trace", "--dots", "6", "--excited", "2",
+            "--kt-max", "1.0", "--steps", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert "at least one step" in err
+
+    def test_one_step_writes_both_ends_of_the_window(self, capsys):
+        code, out, _ = run_cli(
             capsys, "trace", "--dots", "6", "--excited", "2",
             "--kt-max", "1.0", "--steps", "1",
         )
-        assert code == 2
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert header == ["kt", "E", "P_0", "P_1", "P_2"]
+        assert [float(row[0]) for row in rows] == [0.0, 1.0]
 
     def test_unwritable_path(self, capsys):
         code, _, err = run_cli(
@@ -792,6 +813,30 @@ class TestVerify:
             [str(n), str(m)] for n in (2, 3) for m in range(n + 1)
         ]
         assert all(row[2:] == ["nan"] * 4 for row in rows)
+
+    def test_brute_force_moves_to_the_mirror_of_a_refused_table(self, monkeypatch):
+        # The first member M < N - M of each pair fails its table check, so
+        # the pair's one brute force runs at its mirror N - M instead.
+        def refused_below_half(config):
+            if config.excitations < config.dots - config.excitations:
+                raise closed_form.NormalizationError("initial condition violated")
+            return real_amplitude_table(config)
+
+        evolved = []
+
+        def counted(hamiltonian, kts):
+            evolved.append(len(kts))
+            return evolve(hamiltonian, kts)
+
+        monkeypatch.setattr(closed_form, "amplitude_table", refused_below_half)
+        monkeypatch.setattr(cli, "evolve", counted)
+        comparisons = cli._oracle_comparisons(4, 3, 1e-9)
+        below = [c for c in comparisons if c[1] < c[0] - c[1]]
+        rest = [c for c in comparisons if c[1] >= c[0] - c[1]]
+        assert [c[:2] for c in below] == [(2, 0), (3, 0), (3, 1), (4, 0), (4, 1)]
+        assert all(math.isnan(x) for c in below for x in c[2:])
+        assert len(rest) == 7 * 3 and cli._mismatches(rest, 1e-9) == []
+        assert evolved == [3] * 7
 
     def test_failure_rows_match_the_reference_bytes(
         self, capsys, monkeypatch, same_lines

@@ -5,7 +5,9 @@ from a float range or a power of ten up to 1e308.  In about half of the
 cases one option is then replaced by junk: any finite float or a malformed
 token.  Whatever comes in, a command exits 0, 2 (usage error) or, for
 verify, 1; a usage error writes nothing to stdout, and a success writes
-only finite numbers.
+only finite numbers.  trace adds no rule of its own: once its texts parse
+and the configuration and its period stand, it exits 2 exactly when
+`trace_entanglement` refuses the window and step count.
 """
 
 import contextlib
@@ -16,6 +18,8 @@ import math
 from hypothesis import example, given, settings, strategies as st
 
 import dotent.cli as cli
+from dotent.analysis import period
+from dotent.closed_form import ModelConfig, trace_entanglement
 from dotent.oracle import DEFAULT_MAX_DOTS
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -79,6 +83,11 @@ def data_cells(out):
     window="kt-max",
     texts={"dots": "12", "excited": "6", "length": "1e300", "steps": "4"},
 )
+# The smallest step count trace_entanglement accepts.
+@example(
+    window="periods",
+    texts={"dots": "6", "excited": "2", "length": "1.0", "steps": "1"},
+)
 def test_trace(window, texts):
     texts = dict(texts)  # an @example's dict is shared between runs
     texts[window] = texts.pop("length")
@@ -89,6 +98,19 @@ def test_trace(window, texts):
     else:
         cells = data_cells(out)
         assert cells and all(math.isfinite(c) for c in cells)
+    try:
+        config = ModelConfig(int(texts["dots"]), int(texts["excited"]))
+        kt_max, steps = float(texts[window]), int(texts["steps"])
+        if window == "periods":
+            kt_max *= period(config)
+    except ValueError:
+        return
+    try:
+        trace_entanglement(config, kt_max, steps)
+    except ValueError:
+        assert code == 2
+    else:
+        assert code == 0
 
 
 @settings(max_examples=100, deadline=None)

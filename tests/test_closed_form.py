@@ -339,6 +339,16 @@ class TestEntropyDerivatives:
         assert abs(d1[0]) < 1e-12
         assert math.isfinite(d2[0])
 
+    @pytest.mark.parametrize(
+        "kts, bad",
+        [([math.nan, 0.3], math.nan), ([math.inf], math.inf)],
+        ids=["nan-then-finite", "inf"],
+    )
+    def test_non_finite_time_is_refused(self, kts, bad):
+        table = amplitude_table(ModelConfig(5, 2))
+        with pytest.raises(ValueError, match=f"must be finite, got kt={bad}"):
+            _derivatives(table, kts)
+
     def test_stacked_tables_match_one_at_a_time(self):
         # same rank m' = 3, each table with its own times
         tables = [amplitude_table(ModelConfig(n, 3)) for n in (7, 9, 12)]
@@ -571,7 +581,7 @@ def test_trace_shares_one_table():
 
 
 def _phase_resolution_limit(config):
-    """The first window at which cmd_trace's phase-resolution guard refuses."""
+    """The first window that trace_entanglement's phase-resolution check refuses."""
     fastest = max(abs(m) for m in config.phase_multipliers)
     return 2.0 ** math.ceil(52 - math.log2(fastest))
 
@@ -579,7 +589,7 @@ def _phase_resolution_limit(config):
 class TestTraceGrid:
     """trace_entanglement's blockwise grid against the per-time evaluation."""
 
-    # K = 1 at (1, 0); a window next to cmd_trace's phase-resolution guard;
+    # K = 1 at (1, 0); a window next to the phase-resolution check;
     # for every steps but 1 the last block of b times runs past the grid
     # (224 blocks of 224 times for 50 001 rows).
     @pytest.mark.parametrize(
@@ -674,3 +684,21 @@ class TestTraceGrid:
         monkeypatch.setattr(dotent.closed_form, "amplitude_table", no_table)
         with pytest.raises(ValueError, match=message):
             trace_entanglement(ModelConfig(5, 2), kt_max, steps)
+
+    # Adjacent float times at the window's end differ by a radian of phase
+    # or more: the first window's last time reads back as inf, the second
+    # gave E = 2.35 at kt = 2.5e299.
+    @pytest.mark.parametrize(
+        "dots, excited, kt_max",
+        [(1, 0, 1.7976931348623151e308), (12, 6, 1e300)],
+        ids=["max-float", "1e300"],
+    )
+    def test_window_beyond_phase_resolution_refused_before_any_table(
+        self, monkeypatch, dots, excited, kt_max
+    ):
+        def no_table(config):
+            raise AssertionError("built a table before checking arguments")
+
+        monkeypatch.setattr(dotent.closed_form, "amplitude_table", no_table)
+        with pytest.raises(ValueError, match="rad of phase, beyond finite precision"):
+            trace_entanglement(ModelConfig(dots, excited), kt_max, 4)
