@@ -328,7 +328,7 @@ def mes_entropy(config: ModelConfig) -> float:
 
 def p1_single_excitation(dots: int, kt: float) -> float:
     """Weight of the transferred branch for a single initial excitation."""
-    dots = _at_least_two_dots(dots)
+    dots, kt = _at_least_two_dots(dots), float(_finite_times(kt))
     return 4.0 * (dots - 1) / dots**2 * math.sin(0.5 * dots * kt) ** 2
 
 
@@ -339,7 +339,7 @@ def entanglement_rate_m1(dots: int, kt: float) -> float:
     branch weight vanishes (kt a multiple of 2 pi / N) and wherever it
     reaches 1; the true limit is 0 at all of those points.
     """
-    dots = _at_least_two_dots(dots)
+    dots, kt = _at_least_two_dots(dots), float(_finite_times(kt))
     s2 = math.sin(0.5 * dots * kt) ** 2
     if s2 == 0.0:
         return 0.0

@@ -1,12 +1,14 @@
 """Brute-force cross-check in the fixed-excitation sector.
 
-Deliberately independent of the analytical path: the state is evolved in
-the eigenbasis of the hopping operator restricted to the start state's
-Krylov subspace, found by Lanczos iteration on a table of each
-configuration's single-move neighbors with no use of the collective-spin
-structure, and the entanglement comes from eigenvalues of the reduced
-density matrix, one block per excitation count of the kept sites.
-Nothing from the rest of the package is imported.
+Deliberately independent of the analytical path.  `evolve` returns the
+amplitudes over the basis, found in the eigenbasis of the hopping
+operator restricted to the start state's Krylov subspace, by Lanczos
+iteration on a table of each configuration's single-move neighbors with
+no use of the collective-spin structure.  `reduced_entropy(basis,
+amplitudes, cut)` takes them to the entropy of the first `cut` sites,
+from eigenvalues of the reduced density matrix, one block per excitation
+count of the kept sites.  Nothing from the rest of the package is
+imported.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ class SectorBasis:
 
     The states are one read-only int64 array, so a configuration's basis
     position is its `searchsorted` index.  Site 1 is the most significant
-    bit, so the initial configuration (first M sites excited) is the last
-    basis element.
+    bit, so the start configuration (first M sites excited) is the last
+    basis element, index -1.
     """
 
     dots: int
@@ -76,7 +78,7 @@ class SectorHamiltonian:
         """
         scale = self.neighbors.shape[1]
         start = np.zeros(len(self.neighbors))
-        start[initial_state_index(self.basis)] = 1.0
+        start[-1] = 1.0
         columns, diagonal, norms = [start], [], []
         while True:
             residual = self.apply(columns[-1])
@@ -106,14 +108,6 @@ class SectorHamiltonian:
                 f"Krylov eigenpairs miss H v = lambda v by {error:.3g}"
             )
         return values, vectors
-
-
-@dataclass(frozen=True)
-class SectorState:
-    """Amplitudes over the basis, one row per time for an array of times."""
-
-    basis: SectorBasis
-    amplitudes: np.ndarray
 
 
 def _ones(values: np.ndarray, width: int) -> np.ndarray:
@@ -151,26 +145,21 @@ def build_hamiltonian(basis: SectorBasis) -> SectorHamiltonian:
     return SectorHamiltonian(basis, neighbors)
 
 
-def initial_state_index(basis: SectorBasis) -> int:
-    """Basis position of the configuration with the first M sites excited."""
-    return len(basis) - 1
+def evolve(hamiltonian: SectorHamiltonian, kt: float | np.ndarray) -> np.ndarray:
+    """Amplitudes over the basis at time kt, from the start configuration.
 
-
-def evolve(hamiltonian: SectorHamiltonian, kt: float | np.ndarray) -> SectorState:
-    """State at time kt starting from the first-M-sites-excited configuration.
-
-    For a 1-D array of times the amplitudes gain a leading time axis, one
-    row per time.  The eigenvectors of the real symmetric hopping operator
-    are real, so the basis change is two real matrix products.
+    For a 1-D array of times they gain a leading time axis, one row per
+    time.  The eigenvectors of the real symmetric hopping operator are
+    real, so the basis change is two real matrix products.
     """
     values, vectors = hamiltonian.eigensystem
-    start = initial_state_index(hamiltonian.basis)
-    phases = np.exp(-1j * np.multiply.outer(kt, values)) * vectors[start, :]
-    amplitudes = phases.real @ vectors.T + 1j * (phases.imag @ vectors.T)
-    return SectorState(hamiltonian.basis, amplitudes)
+    phases = np.exp(-1j * np.multiply.outer(kt, values)) * vectors[-1, :]
+    return phases.real @ vectors.T + 1j * (phases.imag @ vectors.T)
 
 
-def reduced_eigenvalues(state: SectorState, cut: int) -> np.ndarray:
+def reduced_eigenvalues(
+    basis: SectorBasis, amplitudes: np.ndarray, cut: int
+) -> np.ndarray:
     """Ascending nonzero spectrum, plus zeros, of the reduced density matrix.
 
     The density of sites 1..cut is B B† for the amplitude block B, with one
@@ -180,19 +169,19 @@ def reduced_eigenvalues(state: SectorState, cut: int) -> np.ndarray:
     block-diagonal in j.  Block j is full, C(cut, j) x C(N - cut, M - j),
     and the ascending basis lists its entries in row-major order.  Each
     block's smaller Gram matrix, B_j B_j† or B_j† B_j, has its nonzero
-    eigenvalues.  Zeros pad them to min(rows, cols) values, one such row
-    per time for a time-batched state.
+    eigenvalues.  Zeros pad them to min(rows, cols) values.  The last axis
+    of `amplitudes` runs over the basis, as `evolve` returns it, and each
+    leading index (a time) gets its own row of values.
     """
-    basis = state.basis
     if not 0 <= cut <= basis.dots:
         raise ValueError(f"cut must lie in 0..{basis.dots}, got {cut}")
     shift, total = basis.dots - cut, basis.excitations
     count = _ones(basis.states >> shift, cut)
-    lead = state.amplitudes.shape[:-1]
+    lead = amplitudes.shape[:-1]
     spectra, rows, cols = [], 0, 0
     for j in range(max(0, total - shift), min(cut, total) + 1):
         shape = (math.comb(cut, j), math.comb(shift, total - j))
-        block = state.amplitudes[..., count == j].reshape(lead + shape)
+        block = amplitudes[..., count == j].reshape(lead + shape)
         if shape[0] > shape[1]:
             block = block.conj().swapaxes(-1, -2)
         spectra.append(np.linalg.eigvalsh(block @ block.conj().swapaxes(-1, -2)))
@@ -206,9 +195,11 @@ def reduced_eigenvalues(state: SectorState, cut: int) -> np.ndarray:
     return np.clip(values, 0.0, None)
 
 
-def reduced_entropy(state: SectorState, cut: int) -> float | np.ndarray:
+def reduced_entropy(
+    basis: SectorBasis, amplitudes: np.ndarray, cut: int
+) -> float | np.ndarray:
     """Von Neumann entropy (base 2) of the first `cut` sites, one per time."""
-    values = reduced_eigenvalues(state, cut)
+    values = reduced_eigenvalues(basis, amplitudes, cut)
     logs = np.log2(np.where(values > 0.0, values, 1.0))
     return -(values * logs).sum(axis=-1) + 0.0
 
@@ -216,5 +207,5 @@ def reduced_entropy(state: SectorState, cut: int) -> float | np.ndarray:
 def oracle_entanglement(dots: int, excitations: int, kt: float) -> float:
     """Full pipeline: basis, hop table, evolution, reduced entropy."""
     basis = build_basis(dots, excitations)
-    hamiltonian = build_hamiltonian(basis)
-    return float(reduced_entropy(evolve(hamiltonian, kt), excitations))
+    amplitudes = evolve(build_hamiltonian(basis), kt)
+    return float(reduced_entropy(basis, amplitudes, excitations))

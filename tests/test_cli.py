@@ -747,7 +747,8 @@ class TestVerify:
                 table = real_amplitude_table(config)
                 for kt in kts.tolist():
                     analytical = entanglement(schmidt_spectrum(table, kt))
-                    brute = reduced_entropy(evolve(hamiltonian, kt), excitations)
+                    amps = evolve(hamiltonian, kt)
+                    brute = reduced_entropy(hamiltonian.basis, amps, excitations)
                     reference.append((dots, excitations, kt, analytical, float(brute)))
         assert [c[:3] for c in comparisons] == [r[:3] for r in reference]
         for got, want in zip(comparisons, reference):

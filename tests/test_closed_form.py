@@ -436,6 +436,13 @@ def test_single_excitation_formulas_take_numpy_integers(formula):
     assert M1_FORMULAS[formula](np.int64(7)) == M1_FORMULAS[formula](7)
 
 
+@pytest.mark.parametrize("formula", [p1_single_excitation, entanglement_rate_m1])
+@pytest.mark.parametrize("kt", [math.nan, math.inf, -math.inf])
+def test_single_excitation_formulas_refuse_a_non_finite_time(formula, kt):
+    with pytest.raises(ValueError, match=f"time must be finite, got kt={kt}"):
+        formula(5, kt)
+
+
 class TestRate:
     def test_zero_at_start(self):
         assert entanglement_rate_m1(5, 0.0) == 0.0

@@ -8,18 +8,34 @@ from hypothesis import given, settings, strategies as st
 
 import dotent.oracle as oracle
 from dotent.analysis import period
-from dotent.closed_form import ModelConfig, amplitude_table, spectrum_curve
+from dotent.closed_form import (
+    ModelConfig,
+    amplitude_table,
+    spectrum_curve,
+    trace_entanglement,
+)
 from dotent.oracle import (
     build_basis,
     build_hamiltonian,
     evolve,
-    initial_state_index,
     oracle_entanglement,
     reduced_eigenvalues,
     reduced_entropy,
 )
 
 ENTROPY_5_2_AT_PI = 0.7254201904670346
+
+
+def verify_sample_times(config):
+    """The kt column `verify` compares at, its default 25 samples per period."""
+    window = period(config) if config.m_prime else 2.0 * math.pi
+    return trace_entanglement(config, window, 25)[:-1, 0]
+
+
+def oracle_entropies(dots, m_exc, kts):
+    """Brute-force entropy of the first m_exc sites, one per time."""
+    basis = build_basis(dots, m_exc)
+    return reduced_entropy(basis, evolve(build_hamiltonian(basis), kts), m_exc)
 
 
 def dense(h):
@@ -62,7 +78,7 @@ class TestBasis:
 
     def test_start_configuration_is_leading_block(self):
         basis = build_basis(5, 2)
-        assert basis.states[initial_state_index(basis)] == 0b11000
+        assert basis.states[-1] == 0b11000
 
 
 class TestHamiltonian:
@@ -141,14 +157,13 @@ class TestHamiltonian:
 class TestEvolution:
     def test_identity_at_time_zero(self):
         h = build_hamiltonian(build_basis(6, 2))
-        state = evolve(h, 0.0)
         expected = np.zeros(len(h.basis))
-        expected[initial_state_index(h.basis)] = 1.0
-        assert np.abs(state.amplitudes - expected).max() < 1e-12
+        expected[-1] = 1.0
+        assert np.abs(evolve(h, 0.0) - expected).max() < 1e-12
 
     def test_two_dots_quarter_turn(self):
         h = build_hamiltonian(build_basis(2, 1))
-        amps = evolve(h, math.pi / 4).amplitudes
+        amps = evolve(h, math.pi / 4)
         # basis order is (01, 10); the start state is 10
         assert abs(amps[1] - math.cos(math.pi / 4)) < 1e-12
         assert abs(amps[0] - (-1j) * math.sin(math.pi / 4)) < 1e-12
@@ -156,58 +171,56 @@ class TestEvolution:
     def test_batch_rows_are_the_single_time_states(self):
         h = build_hamiltonian(build_basis(8, 3))
         kts = np.linspace(-4.0, 11.0, 13)
-        batch = evolve(h, kts).amplitudes
+        batch = evolve(h, kts)
         assert batch.shape == (len(kts), len(h.basis))
         for kt, row in zip(kts, batch):
-            assert np.abs(row - evolve(h, kt).amplitudes).max() < 1e-14
+            assert np.abs(row - evolve(h, kt)).max() < 1e-14
 
     @pytest.mark.parametrize("dots", range(1, 11))
     def test_matches_full_diagonalization_at_the_verify_sample_times(self, dots):
         # Reference: the state expanded in all eigenvectors of a full eigh.
         for m_exc in range(dots + 1):
             h = build_hamiltonian(build_basis(dots, m_exc))
-            config = ModelConfig(dots, m_exc)
-            window = period(config) if config.m_prime else 2.0 * math.pi
-            kts = np.arange(25) * window / 25  # verify's default sample count
+            kts = verify_sample_times(ModelConfig(dots, m_exc))
             values, vectors = np.linalg.eigh(dense(h))
-            start = vectors[initial_state_index(h.basis)]
+            start = vectors[-1]
             reference = (np.exp(-1j * np.multiply.outer(kts, values)) * start) @ vectors.T
-            assert np.abs(evolve(h, kts).amplitudes - reference).max() <= 1e-12
+            assert np.abs(evolve(h, kts) - reference).max() <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(-12.0, 12.0))
     def test_norm_preserved(self, kt):
         h = build_hamiltonian(build_basis(7, 3))
-        amps = evolve(h, kt).amplitudes
+        amps = evolve(h, kt)
         assert abs(np.vdot(amps, amps).real - 1.0) < 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(-12.0, 12.0))
     def test_energy_conserved(self, kt):
         h = build_hamiltonian(build_basis(8, 3))
-        amps = evolve(h, kt).amplitudes
+        amps = evolve(h, kt)
         matrix = dense(h)
         energy = np.vdot(amps, matrix @ amps).real
-        start = initial_state_index(h.basis)
-        assert abs(energy - matrix[start, start]) < 1e-10
+        assert abs(energy - matrix[-1, -1]) < 1e-10
 
 
 class TestReducedEntropy:
     def test_product_state_has_no_entanglement(self):
         h = build_hamiltonian(build_basis(6, 2))
-        state = evolve(h, 0.0)
+        amps = evolve(h, 0.0)
         for cut in range(0, 7):
-            assert abs(reduced_entropy(state, cut)) < 1e-12
+            assert abs(reduced_entropy(h.basis, amps, cut)) < 1e-12
 
     def test_bell_pair_is_one_bit(self):
         h = build_hamiltonian(build_basis(2, 1))
-        assert abs(reduced_entropy(evolve(h, math.pi / 4), 1) - 1.0) < 1e-12
+        assert abs(reduced_entropy(h.basis, evolve(h, math.pi / 4), 1) - 1.0) < 1e-12
 
     def test_eigenvalues_sum_to_one_at_every_cut(self):
         for dots, m_exc in [(7, 3), (8, 1), (9, 4), (10, 5)]:
-            state = evolve(build_hamiltonian(build_basis(dots, m_exc)), 1.3)
+            basis = build_basis(dots, m_exc)
+            amps = evolve(build_hamiltonian(basis), 1.3)
             for cut in range(0, dots + 1):
-                assert abs(reduced_eigenvalues(state, cut).sum() - 1.0) < 1e-12
+                assert abs(reduced_eigenvalues(basis, amps, cut).sum() - 1.0) < 1e-12
 
     def test_batch_matches_each_time_at_every_cut(self):
         kts = np.array([0.0, 0.4, 1.3, 2.9, 6.1])
@@ -215,8 +228,8 @@ class TestReducedEntropy:
             h = build_hamiltonian(build_basis(dots, m_exc))
             batch = evolve(h, kts)
             for cut in range(0, dots + 1):
-                single = [reduced_entropy(evolve(h, kt), cut) for kt in kts]
-                assert np.abs(reduced_entropy(batch, cut) - single).max() < 1e-12
+                single = [reduced_entropy(h.basis, evolve(h, kt), cut) for kt in kts]
+                assert np.abs(reduced_entropy(h.basis, batch, cut) - single).max() < 1e-12
 
     def test_smaller_gram_side_keeps_the_spectrum(self):
         # Reference: the full density B B† with rows and columns indexed by
@@ -224,7 +237,7 @@ class TestReducedEntropy:
         # end make rows < cols and rows > cols in turn.
         for dots, m_exc in [(7, 3), (8, 1), (9, 4), (10, 5)]:
             basis = build_basis(dots, m_exc)
-            state = evolve(build_hamiltonian(basis), 1.3)
+            amps = evolve(build_hamiltonian(basis), 1.3)
             for cut in range(0, dots + 1):
                 shift, mask = dots - cut, (1 << (dots - cut)) - 1
                 rows, cols = {}, {}
@@ -232,23 +245,25 @@ class TestReducedEntropy:
                     rows.setdefault(s >> shift, len(rows))
                     cols.setdefault(s & mask, len(cols))
                 block = np.zeros((len(rows), len(cols)), dtype=complex)
-                for s, amp in zip(basis.states.tolist(), state.amplitudes):
+                for s, amp in zip(basis.states.tolist(), amps):
                     block[rows[s >> shift], cols[s & mask]] = amp
                 full = np.linalg.eigvalsh(block @ block.conj().T)
-                values = reduced_eigenvalues(state, cut)
+                values = reduced_eigenvalues(basis, amps, cut)
                 assert len(values) == min(len(rows), len(cols))
                 assert np.abs(values - full[-len(values):]).max() < 1e-12
                 assert np.abs(full[: -len(values)]).max(initial=0.0) < 1e-12
 
     def test_cut_validation(self):
-        state = evolve(build_hamiltonian(build_basis(4, 2)), 0.5)
+        basis = build_basis(4, 2)
+        amps = evolve(build_hamiltonian(basis), 0.5)
         with pytest.raises(ValueError):
-            reduced_entropy(state, 5)
+            reduced_entropy(basis, amps, 5)
 
     @pytest.mark.parametrize("dots,m_exc,kt", [(8, 3, 0.3), (8, 3, 1.7), (9, 4, 2.9)])
     def test_density_eigenvalues_are_schmidt_weights(self, dots, m_exc, kt):
-        state = evolve(build_hamiltonian(build_basis(dots, m_exc)), kt)
-        values = np.sort(reduced_eigenvalues(state, m_exc))
+        basis = build_basis(dots, m_exc)
+        amps = evolve(build_hamiltonian(basis), kt)
+        values = np.sort(reduced_eigenvalues(basis, amps, m_exc))
         weights = np.sort(spectrum_curve(amplitude_table(ModelConfig(dots, m_exc)), [kt])[0])
         assert np.abs(values[-len(weights):] - weights).max() < 1e-10
         assert values[: -len(weights)].sum() < 1e-10
@@ -269,12 +284,9 @@ class TestComplementarySectors:
     @pytest.mark.parametrize("dots", range(2, 11))
     def test_entropies_agree_at_the_verify_sample_times(self, dots):
         for m_exc in range(dots + 1):
-            config = ModelConfig(dots, m_exc)
-            window = period(config) if config.m_prime else 2.0 * math.pi
-            kts = np.arange(25) * window / 25  # verify's default sample count
+            kts = verify_sample_times(ModelConfig(dots, m_exc))
             entropy, partner = (
-                reduced_entropy(evolve(build_hamiltonian(build_basis(dots, m)), kts), m)
-                for m in (m_exc, dots - m_exc)
+                oracle_entropies(dots, m, kts) for m in (m_exc, dots - m_exc)
             )
             assert np.abs(entropy - partner).max() <= 1e-13
 
@@ -299,8 +311,7 @@ class TestPipeline:
         from dotent.closed_form import entropy_curve
 
         kts = np.array([0.37, 1.3, 2.9])
-        state = evolve(build_hamiltonian(build_basis(dots, m_exc)), kts)
-        brute = reduced_entropy(state, m_exc)
+        brute = oracle_entropies(dots, m_exc, kts)
         analytical = entropy_curve(amplitude_table(ModelConfig(dots, m_exc)), kts)
         assert np.abs(brute - analytical).max() < 1e-12
 
@@ -319,7 +330,7 @@ class TestPipeline:
         assert abs(oracle_entanglement(n, m, kt) - analytical) < 1e-9
 
 
-def test_oracle_imports_only_combinatorics_from_the_package():
+def test_oracle_imports_nothing_from_the_package():
     tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
     internal = set()
     for node in ast.walk(tree):
@@ -328,4 +339,4 @@ def test_oracle_imports_only_combinatorics_from_the_package():
                 internal.add(("." * node.level) + (node.module or ""))
         elif isinstance(node, ast.Import):
             internal.update(a.name for a in node.names if a.name.startswith("dotent"))
-    assert internal <= {".combinatorics", "dotent.combinatorics"}
+    assert internal == set()
