@@ -54,11 +54,13 @@ def _cli(*argv: str) -> tuple[str, str]:
 
 
 def tables():
-    for dots in range(1, 65):
-        for excited in range(dots + 1):
-            table = amplitude_table(ModelConfig(dots, excited))
-            yield repr((table.numerators, table.denominator)).encode()
-            yield table.mixing.tobytes() + table.multipliers.tobytes()
+    # every sector up to N = 64, and one whose largest degeneracy C(M, m)
+    # C(N - M, m) is past the float maximum
+    sizes = [(n, m) for n in range(1, 65) for m in range(n + 1)] + [(2734, 200)]
+    for dots, excited in sizes:
+        table = amplitude_table(ModelConfig(dots, excited))
+        yield repr((table.numerators, table.denominator)).encode()
+        yield table.mixing.tobytes() + table.multipliers.tobytes()
 
 
 def sweeps():

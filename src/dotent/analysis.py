@@ -110,8 +110,7 @@ def _half_grid(table: AmplitudeTable):
     for start in range(0, count, _GRID_BLOCK_ROWS):
         rows = np.arange(start, min(start + _GRID_BLOCK_ROWS, count))
         coeff = roots[np.multiply.outer(rows, steps) % n] @ table.mixing
-        weights = table.weight_factors * np.abs(coeff) ** 2
-        coarse[start : start + len(rows)] = _entropy(weights)
+        coarse[start : start + len(rows)] = _entropy(np.abs(coeff) ** 2)
     return np.linspace(0.0, T, n + 1)[:count], coarse
 
 
@@ -140,7 +139,6 @@ def _refine_rank(starts) -> list[np.ndarray]:
     tables = [table for table, _, _ in starts]
     mult = np.stack([t.multipliers for t in tables])
     basis = np.stack([derivative_basis(t) for t in tables])
-    factors = np.stack([t.weight_factors for t in tables])
     count, width = len(starts), max(len(peaks) for _, _, peaks in starts)
     x, lo, hi = (np.empty((count, width)) for _ in range(3))
     for g, (_, kts, peaks) in enumerate(starts):
@@ -150,7 +148,7 @@ def _refine_rank(starts) -> list[np.ndarray]:
     refined = np.empty((count, width))
     live = np.arange(count)
     for _ in range(_MAX_REFINE_STEPS):
-        d1, d2 = entropy_derivatives(mult, basis, factors, x)
+        d1, d2 = entropy_derivatives(mult, basis, x)
         lo = np.where(d1 > 0.0, x, lo)
         hi = np.where(d1 < 0.0, x, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -160,8 +158,8 @@ def _refine_rank(starts) -> list[np.ndarray]:
         keep = ~np.all(np.abs(moved - x) <= _REFINE_TOL, axis=1)
         x = refined[live] = moved
         if not keep.all():
-            live, x, lo, hi, mult, basis, factors = (
-                a[keep] for a in (live, x, lo, hi, mult, basis, factors)
+            live, x, lo, hi, mult, basis = (
+                a[keep] for a in (live, x, lo, hi, mult, basis)
             )
             if not live.size:
                 break

@@ -4,8 +4,8 @@ N dots interact through a uniform exchange coupling; the initial state has
 the first M dots excited.  Time is the dimensionless product kt of that
 coupling and physical time.  The superposition amplitudes are carried as
 exact integers over one common denominator (the mixing matrix suffers
-heavy cancellation in floats); each is rounded to double precision once,
-and floating point enters only in the trigonometric evaluation.
+heavy cancellation in floats); a float entry is n / L times the root of its
+branch's degeneracy, so floating point enters only there and in the trigonometry.
 """
 
 from __future__ import annotations
@@ -79,14 +79,21 @@ class ModelConfig:
         return tuple(n * (N + 1 - n) - M * (N - M) for n in range(self.m_prime + 1))
 
 
+def _branch_roots(config: ModelConfig) -> list[float]:
+    """sqrt(f_m), f_m = C(M, m) C(N - M, m): isqrt(f_m 2^128) / 2^64, rounded once."""
+    N, M = config.dots, config.excitations
+    f = (binomial(M, m) * binomial(N - M, m) for m in range(config.m_prime + 1))
+    return [math.isqrt(x << 128) / (1 << 64) for x in f]
+
+
 @dataclass(frozen=True)
 class AmplitudeTable:
     """Exact time-independent data for one (N, M).
 
-    Branch m's coefficient is the sum over n of the harmonics
-    numerators[n][m] / denominator * exp(i config.phase_multipliers[n] kt),
-    both indices in 0..m_prime.  The float views below are built on first
-    use and shared by every later evaluation of this table.
+    Branch m's Schmidt weight is f_m |c_m|^2, f_m = C(M, m) C(N - M, m), where
+    c_m sums over n the harmonics numerators[n][m] / denominator * exp(i
+    config.phase_multipliers[n] kt), both indices in 0..m_prime.  The float
+    views below are built on first use and shared by later evaluations.
     """
 
     config: ModelConfig
@@ -95,21 +102,18 @@ class AmplitudeTable:
 
     @cached_property
     def mixing(self) -> np.ndarray:
-        """The amplitudes n / L, each correctly rounded to double precision."""
-        L = self.denominator
-        return np.array([[n / L for n in row] for row in self.numerators], dtype=float)
+        """The normalized table a_nm = (n / L) sqrt(f_m), with |a_nm| <= 1.
+
+        n / L, the root and their product each round once: an entry is within
+        3 * 2^-53 relative, plus sqrt(f_m) 2^-1075 < 2^-51 where n / L is
+        subnormal.  The roots overflow from N = 2059 at half filling.
+        """
+        L, roots = self.denominator, _branch_roots(self.config)
+        return np.array([[n / L for n in row] for row in self.numerators]) * roots
 
     @cached_property
     def multipliers(self) -> np.ndarray:
         return np.array(self.config.phase_multipliers, dtype=float)
-
-    @cached_property
-    def weight_factors(self) -> np.ndarray:
-        """Degeneracy prefactors C(M, m) * C(N - M, m) of the Schmidt branches."""
-        N, M, top = self.config.dots, self.config.excitations, self.config.m_prime
-        return np.array(
-            [binomial(M, m) * binomial(N - M, m) for m in range(top + 1)], dtype=float
-        )
 
 
 @dataclass(frozen=True)
@@ -163,8 +167,11 @@ def amplitude_table(config: ModelConfig) -> AmplitudeTable:
 
 
 def _finite_times(kts) -> np.ndarray:
-    """kts as a float array of any shape, refused if a time is NaN or infinite."""
-    kts = np.asarray(kts, dtype=float)
+    """kts as a float array of any shape; each must be a finite int or float."""
+    times = np.asarray(kts)
+    if times.dtype.kind not in "iuf":
+        raise ValueError(f"time must be an integer or float, got dtype {times.dtype}")
+    kts = times.astype(float, copy=False)
     bad = kts[~np.isfinite(kts)]
     if bad.size:
         raise ValueError(f"time must be finite, got kt={bad.flat[0]}")
@@ -172,9 +179,9 @@ def _finite_times(kts) -> np.ndarray:
 
 
 def coefficients(table: AmplitudeTable, kts) -> np.ndarray:
-    """Complex branch coefficients in double precision, one row per time in kts.
+    """Complex branch amplitudes, whose |.|^2 are the Schmidt weights, per time.
 
-    A scalar time gives the single row of its coefficients.  The curve and
+    A scalar time gives the single row of its amplitudes.  The curve and
     spectrum evaluations pass here, and refuse a NaN or infinite time.
     """
     kts = _finite_times(kts)
@@ -189,9 +196,7 @@ def _entropy(weights: np.ndarray) -> np.ndarray:
 
 def spectrum_curve(table: AmplitudeTable, kts) -> np.ndarray:
     """Schmidt weights for every time in kts; row i belongs to kts[i]."""
-    kts = np.atleast_1d(np.asarray(kts, dtype=float))
-    coeff = coefficients(table, kts)
-    return table.weight_factors * np.abs(coeff) ** 2
+    return np.abs(coefficients(table, np.atleast_1d(kts))) ** 2
 
 
 def entropy_curve(table: AmplitudeTable, kts) -> np.ndarray:
@@ -209,26 +214,22 @@ def derivative_basis(table: AmplitudeTable) -> np.ndarray:
     return np.concatenate([h * mix for h in (1.0, 1j * mult, -mult * mult)], axis=1)
 
 
-def entropy_derivatives(
-    multipliers: np.ndarray, basis: np.ndarray, weight_factors: np.ndarray, kts
-) -> tuple[np.ndarray, np.ndarray]:
+def entropy_derivatives(multipliers, basis, kts) -> tuple[np.ndarray, np.ndarray]:
     """First two kt-derivatives of the entropy, for stacks of same-rank tables.
 
-    multipliers and weight_factors are (..., K), basis is the (..., K, 3K)
-    `derivative_basis` and kts is (..., P); each result is (..., P), and
-    every leading index is one table with its own times.  Branches of zero
-    weight add nothing, as in the entropy itself.  A NaN or infinite time
-    is refused, as in `coefficients`.
+    multipliers is (..., K), basis the (..., K, 3K) `derivative_basis` and
+    kts (..., P); each result is (..., P), and every leading index is one
+    table with its own times.  Zero-weight branches add nothing, as in the
+    entropy, and a NaN or infinite time is refused, as in `coefficients`.
     """
     kts = _finite_times(kts)
     phases = np.exp(1j * (kts[..., :, None] * multipliers[..., None, :]))
     K = multipliers.shape[-1]
     both = phases @ basis
     c, c1, c2 = both[..., :K], both[..., K : 2 * K], both[..., 2 * K :]
-    f = weight_factors[..., None, :]
-    w = f * np.abs(c) ** 2
-    w1 = 2.0 * f * (c.conj() * c1).real
-    w2 = 2.0 * f * (np.abs(c1) ** 2 + (c.conj() * c2).real)
+    w = np.abs(c) ** 2
+    w1 = 2.0 * (c.conj() * c1).real
+    w2 = 2.0 * (np.abs(c1) ** 2 + (c.conj() * c2).real)
     # d(w ln w)/dw = ln w + 1, masked to 0 on empty branches (there w' = 0 too)
     safe = np.where(w > 0.0, w, 1.0)
     slope = np.where(w > 0.0, np.log(safe) + 1.0, 0.0)
@@ -316,7 +317,6 @@ def trace_entanglement(config: ModelConfig, kt_max: float, steps: int) -> np.nda
     weights = rows[:, 2:]
     np.multiply(magnitudes, magnitudes, out=weights)
     del magnitudes  # before the entropy's temporaries
-    weights *= table.weight_factors
     rows[:, 1] = _entropy(weights)
     return rows
 
@@ -379,8 +379,8 @@ def peak_entropy_m1(dots: int) -> float:
 def pi_time_magnitudes_exact(config: ModelConfig) -> tuple[Fraction, ...]:
     """Exact branch magnitudes at kt = pi for odd N, M <= (N - 1) / 2.
 
-    |coefficient of branch m| collapses to the rational
-    2^m m! (N - 2M) (N - 2m - 2)!! / N!! at that instant.
+    |coefficient of branch m| / sqrt(C(M, m) C(N - M, m)) collapses to the
+    rational 2^m m! (N - 2M) (N - 2m - 2)!! / N!! at that instant.
     """
     N, M = config.dots, config.excitations
     if N % 2 == 0:
@@ -400,4 +400,5 @@ def pi_time_magnitudes_exact(config: ModelConfig) -> tuple[Fraction, ...]:
 
 
 def pi_time_magnitudes(config: ModelConfig) -> np.ndarray:
-    return np.array([float(v) for v in pi_time_magnitudes_exact(config)])
+    """|coefficients| at kt = pi: the exact magnitudes times the branch roots."""
+    return np.array(pi_time_magnitudes_exact(config), float) * _branch_roots(config)

@@ -163,8 +163,7 @@ def _whole_grid(config):
     steps = np.array([(x - lam[0]) // turns for x in lam])
     roots = np.exp(2j * math.pi / n * np.arange(n))
     phases = roots[np.multiply.outer(np.arange(n // 2 + 2), steps) % n]
-    weights = table.weight_factors * np.abs(phases @ table.mixing) ** 2
-    return table, _entropy(weights)
+    return table, _entropy(np.abs(phases @ table.mixing) ** 2)
 
 
 class TestHalfGrid:

@@ -100,6 +100,36 @@ def _fractions(table):
     )
 
 
+def _degeneracy(dots, excited, m):
+    """Branch m's degeneracy C(M, m) C(N - M, m)."""
+    return binomial(excited, m) * binomial(dots - excited, m)
+
+
+def _check_normalized_mixing(table, paper):
+    """table.mixing against the paper's fractions p_nm times sqrt(f_m).
+
+    Each entry must be float(p_nm) times the documented root
+    isqrt(f_m 2^128) / 2^64, bit for bit, and lie within 2^-51 relative of
+    p_nm sqrt(f_m), checked exactly: (a / p)^2 within f (1 -+ 2^-51)^2.
+    """
+    N, M = table.config.dots, table.config.excitations
+    roots = [
+        math.isqrt(_degeneracy(N, M, m) << 128) / (1 << 64) for m in range(len(paper))
+    ]
+    assert table.mixing.tolist() == [
+        [float(p) * root for p, root in zip(row, roots)] for row in paper
+    ]
+    tol = Fraction(1, 2**51)
+    for row, floats in zip(paper, table.mixing.tolist()):
+        for m, (p, a) in enumerate(zip(row, floats)):
+            if p == 0:
+                assert a == 0.0
+                continue
+            ratio, f = Fraction(a) / p, _degeneracy(N, M, m)
+            assert ratio > 0
+            assert f * (1 - tol) ** 2 <= ratio**2 <= f * (1 + tol) ** 2
+
+
 class TestModelConfig:
     def test_m_prime(self):
         assert ModelConfig(7, 3).m_prime == 3
@@ -175,7 +205,7 @@ class TestAmplitudeTable:
             assert table.numerators == mirror.numerators
             assert table.denominator == mirror.denominator
             assert table.config.phase_multipliers == mirror.config.phase_multipliers
-            assert table.weight_factors.tolist() == mirror.weight_factors.tolist()
+            assert table.mixing.tolist() == mirror.mixing.tolist()
 
     @pytest.mark.parametrize("dots", range(1, 25))
     def test_matches_paper_formula(self, dots):
@@ -183,14 +213,26 @@ class TestAmplitudeTable:
             table = amplitude_table(ModelConfig(dots, excited))
             paper = _paper_table(dots, excited)
             assert (_fractions(table), table.config.phase_multipliers) == paper
-            assert table.mixing.tolist() == [[float(v) for v in r] for r in paper[0]]
+            _check_normalized_mixing(table, paper[0])
 
     @pytest.mark.parametrize("dots,excited", LARGE_SECTORS)
     def test_matches_paper_formula_at_large_size(self, dots, excited):
         table = amplitude_table(ModelConfig(dots, excited))
         paper = _paper_table(dots, excited)
         assert (_fractions(table), table.config.phase_multipliers) == paper
-        assert table.mixing.tolist() == [[float(v) for v in r] for r in paper[0]]
+        _check_normalized_mixing(table, paper[0])
+
+    def test_normalized_past_the_old_float_ceiling(self):
+        # At (2734, 200) the largest degeneracy exceeds the float maximum,
+        # so a separate float factor per branch would overflow; its root
+        # does not, and the normalized table keeps every entry within 1.
+        config = ModelConfig(2734, 200)
+        with pytest.raises(OverflowError):
+            float(max(_degeneracy(2734, 200, m) for m in range(201)))
+        table = amplitude_table(config)
+        weights = spectrum_curve(table, [0.0, 0.01, 1.0])
+        assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-12
+        assert np.abs(table.mixing).max() <= 1.0
 
     def test_pascal_steps_equal_the_per_term_sums(self):
         sizes = [(n, m) for n in range(1, 31) for m in range(n + 1)]
@@ -245,9 +287,10 @@ class TestCoefficients:
         assert np.abs(c[1:]).max() < 1e-12
 
     def test_magnitudes_at_pi_five_two(self):
+        # |c_m|^2 are the Schmidt weights C(2, m) C(3, m) (1/5, 2/15, 8/15)^2
         c = coefficients(amplitude_table(ModelConfig(5, 2)), math.pi)
-        expected = np.array([1 / 5, 2 / 15, 8 / 15])
-        assert np.abs(np.abs(c) - expected).max() < 1e-12
+        expected = np.array([1 / 25, 8 / 75, 64 / 75])
+        assert np.abs(np.abs(c) ** 2 - expected).max() < 1e-12
 
 
 class TestSchmidtSpectrum:
@@ -312,9 +355,7 @@ class TestSchmidtSpectrum:
 
 
 def _derivatives(table, kts):
-    return entropy_derivatives(
-        table.multipliers, derivative_basis(table), table.weight_factors, kts
-    )
+    return entropy_derivatives(table.multipliers, derivative_basis(table), kts)
 
 
 class TestEntropyDerivatives:
@@ -356,7 +397,6 @@ class TestEntropyDerivatives:
         stacked = entropy_derivatives(
             np.stack([t.multipliers for t in tables]),
             np.stack([derivative_basis(t) for t in tables]),
-            np.stack([t.weight_factors for t in tables]),
             kts,
         )
         for g, table in enumerate(tables):
@@ -441,6 +481,52 @@ def test_single_excitation_formulas_take_numpy_integers(formula):
 def test_single_excitation_formulas_refuse_a_non_finite_time(formula, kt):
     with pytest.raises(ValueError, match=f"time must be finite, got kt={kt}"):
         formula(5, kt)
+
+
+# Only integers and floats are times: a numeric string is not converted, a
+# bool array is not read as 0 or 1, and None is refused by its type, not as NaN.
+NON_NUMBERS = {
+    "str": "0.3",
+    "str-list": ["0.3"],
+    "None": None,
+    "None-list": [0.3, None],
+    "bool": True,
+    "bool-list": [True, False],
+    "complex": 0.3j,
+    "object": object(),
+}
+
+
+@pytest.mark.parametrize("formula", [p1_single_excitation, entanglement_rate_m1])
+@pytest.mark.parametrize(
+    "kt, dtype", [("0.3", "<U3"), (None, "object"), (True, "bool")], ids=str
+)
+def test_single_excitation_formulas_refuse_a_non_number(formula, kt, dtype):
+    with pytest.raises(ValueError, match=f"integer or float, got dtype {dtype}$"):
+        formula(5, kt)
+
+
+@pytest.mark.parametrize("kts", NON_NUMBERS.values(), ids=NON_NUMBERS)
+def test_evaluations_refuse_a_non_number(kts):
+    table = amplitude_table(ModelConfig(5, 2))
+    for evaluate in (
+        coefficients,
+        spectrum_curve,
+        entropy_curve,
+        schmidt_spectrum,
+        _derivatives,
+    ):
+        with pytest.raises(ValueError, match="time must be an integer or float") as e:
+            evaluate(table, kts)
+        assert "nan" not in str(e.value)
+
+
+def test_integer_times_are_times():
+    table = amplitude_table(ModelConfig(5, 2))
+    for ints in ([0, 3], np.array([0, 3], dtype=np.uint8), np.int64(3)):
+        floats = np.asarray(ints, dtype=float)
+        assert np.array_equal(entropy_curve(table, ints), entropy_curve(table, floats))
+    assert p1_single_excitation(5, 1) == p1_single_excitation(5, 1.0)
 
 
 class TestRate:
@@ -648,7 +734,7 @@ class TestTraceGrid:
         )
         mixing = table.mixing.astype(np.longdouble)
         re, im = np.cos(angles) @ mixing, np.sin(angles) @ mixing
-        exact = table.weight_factors.astype(np.longdouble) * (re * re + im * im)
+        exact = re * re + im * im
         bound = max(map(abs, config.phase_multipliers)) * kt_max * 2.0**-52
         assert float(np.abs(rows[:, 2:] - exact).max()) <= bound
 
