@@ -22,15 +22,19 @@ from dotent.cli import main  # noqa: E402
 from dotent.closed_form import ModelConfig, amplitude_table  # noqa: E402
 
 
-# Edge inputs of each command, on either side of a refusal.
+# Edge inputs of each command, on either side of a refusal.  Checkouts that
+# build the exact table before checking the float range of its roots take
+# minutes over the (2059, 1029) maxent.
 REFUSALS = (
     ("trace", "--dots", "12", "--excited", "6", "--kt-max", "1e300", "--steps", "4"),
     ("trace", "--dots", "6", "--excited", "2", "--kt-max", "1.0", "--steps", "0"),
     ("trace", "--dots", "6", "--excited", "2", "--kt-max", "1.0", "--steps", "1"),
     ("trace", "--dots", "1", "--excited", "0", "--periods", "1", "--steps", "4"),
     ("maxent", "--dots", "2", "--excited", "2"),
+    ("maxent", "--dots", "2059", "--excited", "1029"),
     ("sweep", "--dots", "3..2", "--excited", "1"),
     ("fit", "--excited", "0", "--dots", "7..10"),
+    ("fit", "--excited", "6", "--dots", "18..40"),
     ("verify", "--max-dots", "1"),
     ("verify", "--samples", "0"),
     ("verify", "--tol", "nan"),

@@ -236,10 +236,10 @@ def sweep_over_N(excitations: int | str, dots_values) -> list[MaxEntanglementRec
 
 
 def critical_N(excitations: int) -> int:
-    """Smallest N beyond which the peak entanglement decays monotonically."""
+    """Smallest N beyond which E_max decays monotonically, for 1 <= M <= 5."""
     excitations = as_integer("excitations", excitations)
-    if excitations < 1:
-        raise ValueError(f"need at least one excitation, got {excitations}")
+    if not 1 <= excitations <= 5:
+        raise ValueError(f"critical size known for M in 1..5, got {excitations}")
     return 6 if excitations == 1 else 2 * excitations + 5
 
 

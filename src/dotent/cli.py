@@ -239,9 +239,7 @@ def _oracle_comparisons(
             try:
                 rows = trace_entanglement(config, window, samples_per_period)[:-1]
             except NormalizationError:
-                comparisons.append(
-                    (dots, excitations, float("nan"), float("nan"), float("nan"))
-                )
+                comparisons.append((dots, excitations) + (math.nan,) * 3)
                 continue
             kts, cut = rows[:, 0], config.m_prime
             if cut not in brute:
@@ -413,9 +411,6 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_USAGE

@@ -79,11 +79,17 @@ class ModelConfig:
         return tuple(n * (N + 1 - n) - M * (N - M) for n in range(self.m_prime + 1))
 
 
-def _branch_roots(config: ModelConfig) -> list[float]:
+def _branch_roots(config: ModelConfig) -> tuple[float, ...]:
     """sqrt(f_m), f_m = C(M, m) C(N - M, m): isqrt(f_m 2^128) / 2^64, rounded once."""
     N, M = config.dots, config.excitations
     f = (binomial(M, m) * binomial(N - M, m) for m in range(config.m_prime + 1))
-    return [math.isqrt(x << 128) / (1 << 64) for x in f]
+    try:
+        return tuple(math.isqrt(x << 128) / (1 << 64) for x in f)
+    except OverflowError:
+        raise ValueError(
+            f"N={N}, M={M}: a branch root sqrt(C(M, m) C(N - M, m)) exceeds "
+            f"the float maximum {np.finfo(float).max:.3g}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -92,13 +98,14 @@ class AmplitudeTable:
 
     Branch m's Schmidt weight is f_m |c_m|^2, f_m = C(M, m) C(N - M, m), where
     c_m sums over n the harmonics numerators[n][m] / denominator * exp(i
-    config.phase_multipliers[n] kt), both indices in 0..m_prime.  The float
-    views below are built on first use and shared by later evaluations.
+    config.phase_multipliers[n] kt), both indices in 0..m_prime; `_roots` holds
+    sqrt(f_m).  The float views below are built on first use and shared.
     """
 
     config: ModelConfig
     numerators: tuple[tuple[int, ...], ...]
     denominator: int
+    _roots: tuple[float, ...]
 
     @cached_property
     def mixing(self) -> np.ndarray:
@@ -106,10 +113,10 @@ class AmplitudeTable:
 
         n / L, the root and their product each round once: an entry is within
         3 * 2^-53 relative, plus sqrt(f_m) 2^-1075 < 2^-51 where n / L is
-        subnormal.  The roots overflow from N = 2059 at half filling.
+        subnormal.
         """
-        L, roots = self.denominator, _branch_roots(self.config)
-        return np.array([[n / L for n in row] for row in self.numerators]) * roots
+        rows = [[n / self.denominator for n in row] for row in self.numerators]
+        return np.array(rows) * self._roots
 
     @cached_property
     def multipliers(self) -> np.ndarray:
@@ -136,10 +143,11 @@ def amplitude_table(config: ModelConfig) -> AmplitudeTable:
     in z_0 after m steps, for every m in turn: a row costs m' + 1 products
     and about (m' + 1)^2 / 2 additions, and no C(m, k).  Construction is
     validated against the t = 0 product state on the integer sums: column
-    m must sum to L for m = 0 and to 0 otherwise, exactly.
+    m must sum to L for m = 0 and to 0 otherwise, exactly.  A root past the
+    float maximum (from N = 2059 at half filling) is refused before all that.
     """
     N, M = config.dots, config.excitations
-    top = config.m_prime
+    top, roots = config.m_prime, _branch_roots(config)
     denominators = [binomial(N - 2 * k, M - k) for k in range(top + 1)]
     common = math.lcm(*denominators)
     scales = [(-1) ** k * (common // d) for k, d in enumerate(denominators)]
@@ -163,7 +171,7 @@ def amplitude_table(config: ModelConfig) -> AmplitudeTable:
                 f"initial condition violated in column {m}: "
                 f"sum {Fraction(column_sum, common)}"
             )
-    return AmplitudeTable(config, tuple(rows), common)
+    return AmplitudeTable(config, tuple(rows), common, roots)
 
 
 def _finite_times(kts) -> np.ndarray:

@@ -1,14 +1,14 @@
 """Brute-force cross-check in the fixed-excitation sector.
 
-Deliberately independent of the analytical path.  `evolve` returns the
-amplitudes over the basis, found in the eigenbasis of the hopping
-operator restricted to the start state's Krylov subspace, by Lanczos
-iteration on a table of each configuration's single-move neighbors with
-no use of the collective-spin structure.  `reduced_entropy(basis,
-amplitudes, cut)` takes them to the entropy of the first `cut` sites,
-from eigenvalues of the reduced density matrix, one block per excitation
-count of the kept sites.  Nothing from the rest of the package is
-imported.
+Deliberately independent of the analytical path: no Dicke basis and
+nothing of the closed form.  `evolve` returns the amplitudes over every
+N-bit configuration with M excitations, found in the eigenbasis of the
+hopping operator restricted to the start state's Krylov subspace, by
+Lanczos iteration with H applied through the identity H = S+ S- - M.
+`reduced_entropy(basis, amplitudes, cut)` takes them to the entropy of
+the first `cut` sites, from eigenvalues of the reduced density matrix,
+one block per excitation count of the kept sites.  Nothing from the
+rest of the package is imported.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ from functools import cached_property
 
 import numpy as np
 
-# The hop table at (18, 9) is 48 620 x 81 entries (31 MB).  That sector
-# takes about 0.9 s and 130 MB peak RSS, and a whole
-# `verify --max-dots 18 --samples 25` about 4.5 s and 150 MB, on one
-# 2-core Xeon VM with OpenBLAS on one thread.
-DEFAULT_MAX_DOTS = 18
+# The (20, 10) sector, 184 756 configurations, takes about 1.4 s and 330 MB
+# peak RSS, and a whole `verify --max-dots 20 --samples 25` about 5.7 s and
+# 370 MB, on one 2-core Xeon VM with OpenBLAS on one thread.
+DEFAULT_MAX_DOTS = 20
 
 
 @dataclass(frozen=True)
@@ -48,18 +47,20 @@ class SectorBasis:
 class SectorHamiltonian:
     """Hopping operator in coupling units: 1 between single-move neighbors.
 
-    Row i of the read-only int array `neighbors` lists the basis positions
-    of the M(N - M) configurations that one moved excitation reaches from
-    configuration i, so H x is `x[neighbors].sum(axis=1)` and every row sum
-    of |H| is M(N - M).  No d x d matrix is formed.
+    On sector M it is S+ S- - M.  Row i of the read-only int array `down`
+    lists the sector M - 1 positions (ascending likewise) of configuration
+    i with each excitation removed, and row j of `up` the N - M + 1 rows of
+    `down` that hold j: H x is two gathers minus M x, with no d x d matrix.
     """
 
     basis: SectorBasis
-    neighbors: np.ndarray
+    down: np.ndarray
+    up: np.ndarray
 
     def apply(self, vectors: np.ndarray) -> np.ndarray:
         """H times a vector, or times each column of a d x k matrix."""
-        return vectors[self.neighbors].sum(axis=1)
+        lowered = vectors[self.up].sum(axis=1)
+        return lowered[self.down].sum(axis=1) - self.basis.excitations * vectors
 
     @cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -76,8 +77,8 @@ class SectorHamiltonian:
         matrix of orthonormal eigenvectors, and raises ArithmeticError
         unless every pair satisfies |H v - lambda v| <= 1e-10 |H|.
         """
-        scale = self.neighbors.shape[1]
-        start = np.zeros(len(self.neighbors))
+        scale = self.basis.excitations * (self.basis.dots - self.basis.excitations)
+        start = np.zeros(len(self.basis))
         start[-1] = 1.0
         columns, diagonal, norms = [start], [], []
         while True:
@@ -89,8 +90,8 @@ class SectorHamiltonian:
             for _ in range(2):
                 residual -= (earlier @ residual) @ earlier
             norm = np.linalg.norm(residual)
-            # For every sector with N <= 18 the closing residual is at most
-            # 2.7e-29 |H| and every earlier one at least 1.
+            # For every sector with N <= 20 the closing residual is at most
+            # 1.4e-28 |H| and every earlier one at least 1.
             if norm <= 1e-8 * scale:
                 break
             norms.append(norm)
@@ -98,11 +99,7 @@ class SectorHamiltonian:
         tridiagonal = np.diag(diagonal) + np.diag(norms, 1) + np.diag(norms, -1)
         values, small = np.linalg.eigh(tridiagonal)
         vectors = np.array(columns).T @ small
-        # One column at a time, so the neighbor gather stays d x M(N - M).
-        error = max(
-            np.abs(self.apply(vector) - value * vector).max()
-            for value, vector in zip(values, vectors.T)
-        )
+        error = np.abs(self.apply(vectors) - vectors * values).max()
         if not error <= 1e-10 * scale:
             raise ArithmeticError(
                 f"Krylov eigenpairs miss H v = lambda v by {error:.3g}"
@@ -135,14 +132,14 @@ def build_basis(dots: int, excitations: int) -> SectorBasis:
 def build_hamiltonian(basis: SectorBasis) -> SectorHamiltonian:
     states, excitations = basis.states, basis.excitations
     bits = np.int64(1) << np.arange(basis.dots, dtype=np.int64)
-    # Each row's bits, occupied sites first, then empty ones, each ascending.
-    flips = bits[np.argsort((states[:, None] & bits) == 0, axis=1, kind="stable")]
-    occupied, empty = flips[:, :excitations], flips[:, excitations:]
-    # Every occupied site's excitation moved to every empty site, row-major.
-    moved = (states[:, None] ^ occupied)[:, :, None] ^ empty[:, None, :]
-    neighbors = np.searchsorted(states, moved).reshape(len(states), -1)
-    neighbors.setflags(write=False)
-    return SectorHamiltonian(basis, neighbors)
+    # Each configuration with one excitation removed, row-major.
+    removed = (states[:, None] ^ bits)[(states[:, None] & bits) != 0]
+    down = np.unique(removed, return_inverse=True)[1].reshape(len(states), -1)
+    order = np.argsort(down, axis=None, kind="stable")  # grouped by entry
+    up = (order // excitations).reshape(-1, basis.dots - excitations + 1)
+    for table in (down, up):
+        table.setflags(write=False)
+    return SectorHamiltonian(basis, down, up)
 
 
 def evolve(hamiltonian: SectorHamiltonian, kt: float | np.ndarray) -> np.ndarray:
@@ -205,7 +202,7 @@ def reduced_entropy(
 
 
 def oracle_entanglement(dots: int, excitations: int, kt: float) -> float:
-    """Full pipeline: basis, hop table, evolution, reduced entropy."""
+    """Full pipeline: basis, hopping tables, evolution, reduced entropy."""
     basis = build_basis(dots, excitations)
     amplitudes = evolve(build_hamiltonian(basis), kt)
     return float(reduced_entropy(basis, amplitudes, excitations))

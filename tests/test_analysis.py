@@ -379,6 +379,14 @@ class TestCriticalSize:
         with pytest.raises(ValueError):
             critical_N(0)
 
+    def test_rule_refused_where_it_is_not_exact(self):
+        # 2M + 5 = 17 at M = 6, but E_max still rises from N = 18 to 19.
+        peaks = [r.E_max for r in sweep_over_N(6, [18, 19])]
+        assert peaks[1] > peaks[0]
+        for excitations in (6, 7, 24):
+            with pytest.raises(ValueError, match="critical size known for M in 1..5"):
+                critical_N(excitations)
+
     def test_fractional_filling_refused(self):
         with pytest.raises(ValueError, match="must be an integer"):
             critical_N(2.5)

@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 from decimal import Decimal
 
 import numpy as np
@@ -495,6 +496,18 @@ class TestMaxent:
         assert code == 2
         assert "no dynamics" in err
 
+    def test_float_overflow_refused_before_the_table(self, capsys):
+        # At (2059, 1029) a branch root passes the float maximum; building
+        # the exact table first would take minutes.
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "maxent", "--dots", "2059", "--excited", "1029"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: N=2059, M=1029: a branch root")
+
     # The search tolerance is a constant, so any --tol is refused.
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     def test_bad_tolerance_is_usage_error(self, capsys, tol):
@@ -599,6 +612,13 @@ class TestFit:
         assert code == 2
         assert out == ""
         assert "unrecognized arguments: --tol" in err
+
+    def test_filling_past_the_exact_critical_rule_rejected(self, capsys):
+        # At M = 6, 1/E_max still falls from N = 18 to 19, past 2M + 5 = 17.
+        code, out, err = run_cli(capsys, "fit", "--excited", "6", "--dots", "18..40")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: critical size known for M in 1..5")
 
     def test_domain_checked_before_any_search(self, capsys, monkeypatch):
         def no_search(*args, **kwargs):

@@ -234,6 +234,20 @@ class TestAmplitudeTable:
         assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-12
         assert np.abs(table.mixing).max() <= 1.0
 
+    def test_float_overflow_refused_before_the_table(self, monkeypatch):
+        # From (2059, 1029) the largest branch root passes the float
+        # maximum; it is refused before the exact table, whose first step
+        # is the common denominator, is built.
+        roots = dotent.closed_form._branch_roots(ModelConfig(2058, 1029))
+        assert all(math.isfinite(r) for r in roots)
+
+        def no_table(*args):
+            raise AssertionError("built the exact table before the roots")
+
+        monkeypatch.setattr(dotent.closed_form.math, "lcm", no_table)
+        with pytest.raises(ValueError, match=r"^N=2059, M=1029: .* float maximum"):
+            amplitude_table(ModelConfig(2059, 1029))
+
     def test_pascal_steps_equal_the_per_term_sums(self):
         sizes = [(n, m) for n in range(1, 31) for m in range(n + 1)]
         for dots, excited in sizes + [(64, 32), (101, 50)]:

@@ -39,11 +39,8 @@ def oracle_entropies(dots, m_exc, kts):
 
 
 def dense(h):
-    """The d x d matrix of a hop table; a hop listed twice shows as 2."""
-    d = len(h.neighbors)
-    matrix = np.zeros((d, d))
-    np.add.at(matrix, (np.arange(d)[:, None], h.neighbors), 1.0)
-    return matrix
+    """The d x d matrix of H, applied to each column of the identity."""
+    return h.apply(np.eye(len(h.basis)))
 
 
 class TestBasis:
@@ -94,16 +91,17 @@ class TestHamiltonian:
         # degenerate -1 pair
         assert np.allclose(np.sort(h.eigensystem[0]), [-1.0, 2.0])
 
-    @pytest.mark.parametrize("dots", range(1, 10))
+    @pytest.mark.parametrize("dots", range(1, 13))
     def test_entries_are_single_moves(self, dots):
         # H[i, j] = 1 exactly when one excitation moves: the two
-        # configurations differ in two bits, one set and one cleared.
+        # configurations differ in two bits, one set and one cleared.  The
+        # reference is this pair-hopping definition, not S+ S- - M: a ^ b has
+        # two bits set when clearing its lowest leaves exactly one.
         for m_exc in range(0, dots + 1):
             basis = build_basis(dots, m_exc)
-            states = basis.states.tolist()
-            expected = [
-                [float(bin(a ^ b).count("1") == 2) for b in states] for a in states
-            ]
+            differ = basis.states[:, None] ^ basis.states[None, :]
+            rest = differ & (differ - 1)
+            expected = ((rest != 0) & (rest & (rest - 1) == 0)).astype(float)
             assert np.array_equal(dense(build_hamiltonian(basis)), expected)
 
     def test_frozen_sector_is_scalar_zero(self):
@@ -130,26 +128,35 @@ class TestHamiltonian:
 
     @pytest.mark.parametrize("dots", range(1, 10))
     def test_neighbor_table_invariants(self, dots):
+        # `down` lists each configuration's M removals in sector M - 1, and
+        # `up` the N - M + 1 configurations above each one: i is in up[j]
+        # exactly when j is in down[i], each pair listed once.
         for m_exc in range(dots + 1):
-            table = build_hamiltonian(build_basis(dots, m_exc)).neighbors
-            d = math.comb(dots, m_exc)
-            assert table.shape == (d, m_exc * (dots - m_exc))
-            rows = [set(row) for row in table.tolist()]
-            assert all(len(row) == table.shape[1] for row in rows)
-            assert all(i not in row for i, row in enumerate(rows))
-            assert all(i in rows[j] for i, row in enumerate(rows) for j in row)
+            h = build_hamiltonian(build_basis(dots, m_exc))
+            lower = math.comb(dots, m_exc - 1) if m_exc else 0
+            assert h.down.shape == (math.comb(dots, m_exc), m_exc)
+            assert h.up.shape == (lower, dots - m_exc + 1)
+            assert all(len(set(row)) == m_exc for row in h.down.tolist())
+            removals = {(i, j) for i, row in enumerate(h.down.tolist()) for j in row}
+            additions = {(i, j) for j, row in enumerate(h.up.tolist()) for i in row}
+            assert removals == additions
+            assert len(additions) == h.up.size
 
     def test_neighbor_table_is_read_only(self):
-        with pytest.raises(ValueError):
-            build_hamiltonian(build_basis(4, 2)).neighbors[0, 0] = 0
+        h = build_hamiltonian(build_basis(4, 2))
+        for table in (h.down, h.up):
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
 
     def test_corrupted_matrix_raises(self):
-        # Redirecting one hop of row 5 to row 0 breaks the symmetry of H,
-        # so the eigenpairs of the Lanczos tridiagonal are not those of H.
+        # Redirecting one removal of row 5 to sector M - 1 row 0 breaks the
+        # symmetry of H, so the eigenpairs of the Lanczos tridiagonal are
+        # not those of H.
         h = build_hamiltonian(build_basis(6, 3))
-        table = np.array(h.neighbors)
-        table[5, 0] = 0
-        corrupted = oracle.SectorHamiltonian(h.basis, table)
+        down = np.array(h.down)
+        assert down[5, 0] != 0
+        down[5, 0] = 0
+        corrupted = oracle.SectorHamiltonian(h.basis, down, h.up)
         with pytest.raises(ArithmeticError, match="eigenpairs"):
             corrupted.eigensystem
 
@@ -305,8 +312,8 @@ class TestPipeline:
     def test_five_two_at_pi(self):
         assert abs(oracle_entanglement(5, 2, math.pi) - ENTROPY_5_2_AT_PI) < 1e-9
 
-    # (18, 9), 48 620 states, is the largest sector DEFAULT_MAX_DOTS admits.
-    @pytest.mark.parametrize("dots,m_exc", [(15, 7), (16, 8), (18, 9)])
+    # (20, 10), 184 756 states, is the largest sector DEFAULT_MAX_DOTS admits.
+    @pytest.mark.parametrize("dots,m_exc", [(15, 7), (16, 8), (18, 9), (20, 10)])
     def test_agrees_with_analytical_entropy_at_the_size_cap(self, dots, m_exc):
         from dotent.closed_form import entropy_curve
 
