@@ -2,15 +2,16 @@
 # Print one sha256 per domain of the package's numbers, so two checkouts can
 # be compared for bit-identical output: run it in each and diff the lines.
 # The last domain, refusals, covers which edge inputs the CLI accepts: the
-# exit code and stderr of each.  Takes no arguments and writes nothing; the
-# package is imported from the checkout's src/ when it is not installed.
-# Runs in a few seconds.
+# exit code and stderr of each.  Takes no arguments and writes only one
+# temporary file, removed before it exits; the package is imported from the
+# checkout's src/ when it is not installed.  Runs in a few seconds.
 
 import contextlib
 import hashlib
 import io
 import pathlib
 import sys
+import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -78,12 +79,18 @@ def maxent():
 
 
 def trace():
-    # perfbench's seed-0 trace_dense command
-    text, _ = _cli(
-        "trace", "--dots", "40", "--excited", "20", "--periods", "1",
-        "--steps", "50000",
-    )
-    yield text.split("\n", 1)[1].encode()
+    # perfbench's seed-0 trace_dense command.  The digest is of stdout; the
+    # file that perfbench times is written by its own path and must match.
+    argv = ("trace", "--dots", "40", "--excited", "20", "--periods", "1",
+            "--steps", "50000")
+    text, _ = _cli(*argv)
+    data = text.split("\n", 1)[1].encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "trace.csv"
+        _cli(*argv, "--out", str(path))
+        if path.read_bytes().split(b"\n", 1)[1] != data:
+            sys.exit("trace: the data lines of --out FILE differ from stdout's")
+    yield data
 
 
 def verify():

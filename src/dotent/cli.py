@@ -9,7 +9,6 @@ reruns are byte-identical outside the manifest timestamp.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import functools
 import json
@@ -67,22 +66,27 @@ def _write_csv(path: str, manifest: str, columns, rows) -> None:
     """Write the manifest, the header and the numeric rows to path ('-': stdout).
 
     Cells of the N and M columns print as %d, all others as %.14e, with -0.0
-    printed as 0.0.  Each CHUNK_ROWS rows go through one _csv_lines pass.
-    That pass prints every row with a %d cell through Python, whole.
+    printed as 0.0.  Each CHUNK_ROWS rows go through one _csv_lines pass,
+    which returns the chunk's ASCII bytes.  A file is opened in binary mode
+    and takes those bytes as they are; stdout takes them decoded to str.
     """
     formats = ["%d" if c in ("N", "M") else "%.14e" for c in columns]
     values = np.asarray(rows, dtype=float)
+    head = manifest + "\n" + ",".join(columns) + "\n"
+    chunks = (
+        _csv_lines(values[start : start + CHUNK_ROWS], formats)
+        for start in range(0, len(values), CHUNK_ROWS)
+    )
     if path == "-":
-        out = contextlib.nullcontext(sys.stdout)
-    else:
-        out = open(path, "w", encoding="utf-8", newline="\n")
-    with out as stream:
-        stream.write(manifest + "\n" + ",".join(columns) + "\n")
-        for start in range(0, len(values), CHUNK_ROWS):
-            stream.write(_csv_lines(values[start : start + CHUNK_ROWS], formats))
+        sys.stdout.write(head)
+        sys.stdout.writelines(str(chunk, "ascii") for chunk in chunks)
+        return
+    with open(path, "wb") as stream:
+        stream.write(head.encode("utf-8"))
+        stream.writelines(chunks)
 
 
-CHUNK_ROWS = 4096  # rows per numpy pass; a chunk's byte buffer stays a few MB
+CHUNK_ROWS = 1024  # rows per numpy pass; a chunk's working set stays in cache
 # Decimal exponents E = -100..16 are indexed by E + 100; the kernel formats
 # cells with -99 <= E <= 14, and the two outer entries catch a one-off guess.
 _EXPONENTS = range(-100, 17)
@@ -93,8 +97,16 @@ _LOWS = np.array([float(10 ** (14 - e) - int(p)) for e, p in zip(_EXPONENTS, _PO
 _EXACT = 100 - 8  # index of E = -8, the smallest with an exact float 10**(14 - E)
 # Below _EXACT a rounding decision this close to a boundary goes to Python's %.
 _MARGIN = 1e-15
-# The 4-byte words of a %.14e cell in machine byte order: "d.dd", three
-# words of four digits, "e+XX", and a last word whose first byte separates.
+# floor(e * log10(2)) + 100 for each biased binary exponent e + 1023: the
+# exponent index guessed for a float in [2**e, 2**(e + 1)).
+_GUESSES = np.floor(np.arange(-1023, 1025) * np.log10(2)).astype(np.intp) + 100
+# A %.14e cell and its separator as one unpadded 21-byte record: 4-byte
+# words in machine byte order "d.dd", three of four digits and "e+XX", then
+# a comma or newline.
+_CELL = np.dtype(
+    [("head", np.uint32), ("quads", np.uint32, 3), ("exponent", np.uint32),
+     ("separator", np.uint8)]
+)
 _QUADS = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
 _QUADS = _QUADS.view(np.uint32).ravel()  # the four digits of 0..9999
 _HEAD, _EXPONENT = (
@@ -114,22 +126,26 @@ def _decimal(a):
     and both hold where sure is set, for every 1e-99 <= a < 1e15.  D = 1e15
     is a mantissa that carried into the next decade, so E is one too low.
 
-    No float lies between 10**E and its nearest float, so comparing with that
-    float finds E; one just below 10**E rounds up to 1e14.  With 10**(14 - E)
-    = b + l, a * b = hi + lo exactly (Dekker's product; numpy has no FMA) and
+    The guess for E comes from a's binary exponent e: [2**e, 2**(e + 1))
+    spans log10(2) < 1 decades, so floor(log10 a) is floor(e * log10(2)) or
+    one more.  No float lies between 10**E and its nearest float, so
+    comparing with that float settles E; one just below 10**E lies in the
+    same binade and rounds up to 1e14.  With 10**(14 - E) = b + l,
+    a * b = hi + lo exactly (Dekker's product; numpy has no FMA) and
     hi - rint(hi) is exact.  For E >= -8, l = 0 and hi is a * b correctly
     rounded, so only an exact half of hi can round either way.  Below, |lo|
     <= 2**-4 and |a * l| < 0.112, so only |hi - rint(hi)| >= 0.25 needs the
     error terms; no exact tie exists there (5**23 > 2e15), and a decision
     within _MARGIN of its boundary is left unsure.
     """
-    i = (np.log10(a) + 100).astype(np.intp)  # one off at worst
+    i = np.take(_GUESSES, a.view(np.int64) >> 52)  # one low at worst
     i += a >= np.take(_TENS, i + 1)
     i -= a < np.take(_TENS, i)
     b = np.take(_POWERS, i)
     hi = a * b
     n = np.rint(hi)
-    near = np.flatnonzero(np.abs(hi - n) >= np.where(i < _EXACT, 0.25 - _MARGIN, 0.5))
+    limits = np.repeat([0.25 - _MARGIN, 0.5], [_EXACT, len(_EXPONENTS) - _EXACT])
+    near = np.flatnonzero(np.abs(hi - n) >= np.take(limits, i))
     sure = np.ones(a.shape, bool)
     if len(near):
         a, b, hi, k = a[near], b[near], hi[near], i[near]
@@ -150,35 +166,47 @@ def _python_lines(values, formats) -> list[str]:
     return [line % tuple(row) for row in (values + 0.0).tolist()]
 
 
-def _csv_lines(values, formats) -> str:
-    """CSV lines of a 2-D array, each byte-identical to its _python_lines line.
+def _csv_lines(values, formats) -> memoryview:
+    """The ASCII bytes of a 2-D array's CSV lines, each as _python_lines prints it.
 
-    A row of %.14e cells, all with 1e-99 <= x < 1e15, is built from exact
-    mantissas as fixed-width 21-byte cells.  Python prints every other row
-    whole: one with a zero, negative, NaN, inf, three-digit exponent,
-    x >= 1e15, or a rounding too close to a boundary to decide in floats,
-    and every row of a table with a %d column.
+    A table with a %d column goes to Python whole.  Otherwise a row of cells
+    that all lie in 1e-99 <= x < 1e15 is built from exact mantissas: each
+    cell is one 21-byte _CELL record, and the chunk's records are its text,
+    with no copy.  Python prints every other row whole: one with a zero,
+    negative, NaN, inf, three-digit exponent, x >= 1e15, or a rounding too
+    close to a boundary to decide in floats.
     """
+    if "%d" in formats:
+        return memoryview("".join(_python_lines(values, formats)).encode("ascii"))
     rows, cols = values.shape
-    kernel = (values >= 1e-99) & (values < 1e15) & [f == "%.14e" for f in formats]
+    kernel = (values >= 1e-99) & (values < 1e15)
     mantissa, index, sure = _decimal(np.where(kernel, values, 1.0).ravel())
     index += mantissa == 10**15
-    words = np.empty((rows * cols, 6), np.uint32)
-    for column in (3, 2, 1):
-        mantissa, quad = np.divmod(mantissa, 10**4)
-        words[:, column] = np.take(_QUADS, quad)
-    words[:, 0] = np.take(_HEAD, mantissa)
-    words[:, 4] = np.take(_EXPONENT, index)
-    cells = words.view(np.uint8).reshape(rows, cols, 24)
-    cells[..., 20] = ord(",")
-    cells[:, -1, 20] = ord("\n")
-    text = cells[..., :21].tobytes().decode("ascii")  # each cell's text and separator
+    # D < 2**53 splits once in int64, each half in uint32; numpy divides by
+    # a scalar quickly but has no fast divmod.
+    high = mantissa // 10**8
+    low = (mantissa - high * 10**8).astype(np.uint32)
+    high = high.astype(np.uint32)
+    head, middle = high // 10**4, low // 10**4
+    cells = np.empty(rows * cols, _CELL)
+    cells["head"] = np.take(_HEAD, head)
+    quads = cells["quads"]
+    quads[:, 0] = np.take(_QUADS, high - head * 10**4)
+    quads[:, 1] = np.take(_QUADS, middle)
+    quads[:, 2] = np.take(_QUADS, low - middle * 10**4)
+    cells["exponent"] = np.take(_EXPONENT, index)
+    cells["separator"] = ord(",")
+    cells["separator"][cols - 1 :: cols] = ord("\n")
+    text = cells.view(np.uint8).data
     python = np.flatnonzero(~(kernel.ravel() & sure).reshape(rows, cols).all(axis=1))
-    width, start, pieces = 21 * cols, 0, []
+    if not len(python):
+        return text
+    width, start, pieces = _CELL.itemsize * cols, 0, []
     for row, line in zip(python.tolist(), _python_lines(values[python], formats)):
-        pieces += [text[start * width : row * width], line]
+        pieces += [text[start * width : row * width], line.encode("ascii")]
         start = row + 1
-    return "".join(pieces) + text[start * width :]
+    pieces.append(text[start * width :])
+    return memoryview(b"".join(pieces))
 
 
 def _parse_dots_spec(spec: str) -> list[int]:

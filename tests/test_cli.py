@@ -52,12 +52,13 @@ def _reference_lines(columns, rows):
     return "".join(line % tuple(row) for row in values.tolist())
 
 
-def _written_lines(columns, rows):
-    """Data lines as _write_csv prints them to stdout."""
+def _written_lines(columns, rows, path="-"):
+    """Data lines as _write_csv prints them to path ('-': stdout)."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._write_csv("-", "# manifest", columns, rows)
-    manifest, header, lines = out.getvalue().split("\n", 2)
+        cli._write_csv(str(path), "# manifest", columns, rows)
+    text = out.getvalue() if path == "-" else pathlib.Path(path).read_bytes().decode()
+    manifest, header, lines = text.split("\n", 2)
     assert (manifest, header) == ("# manifest", ",".join(columns))
     return lines
 
@@ -424,27 +425,54 @@ class TestCsvWriter:
         same_lines(_written_lines(["x"], negated), _reference_lines(["x"], negated))
         assert len(python_rows) == 2 * len(rows)
 
-    # The exponent comes from floor(log10 x), corrected when it is one off;
-    # a biased log10 makes it one off either way for about half the cells.
-    @pytest.mark.parametrize("bias", [-0.5, 0.5])
+    # The exponent is guessed from the binary exponent, exact or one low, and
+    # corrected when it is one off.  Biased by one on every binade that holds
+    # no power of ten, where the guess is exact, it is one off either way for
+    # about half the cells.
+    @pytest.mark.parametrize("bias", [-1, 1])
     def test_exponent_guess_one_off(self, monkeypatch, same_lines, python_rows, bias):
-        log10 = np.log10
-        monkeypatch.setattr(np, "log10", lambda a: log10(a) + bias)
+        guesses = cli._GUESSES
+        one_decade = np.append(guesses[:-1] == guesses[1:], False)
+        biased = np.where(one_decade, guesses + bias, guesses)
+        monkeypatch.setattr(cli, "_GUESSES", biased)
         rows = [(v,) for case in EDGE_CASES.values() for v in case]
+        values = np.array([v for v in np.ravel(rows) if 1e-99 <= v < 1e15])
+        exponents = np.array([Decimal(v).adjusted() for v in values.tolist()])
+        guessed = np.take(biased, values.view(np.int64) >> 52) - 100
+        assert np.all(np.abs(guessed - exponents) <= 1)
+        assert np.mean(guessed != exponents) > 0.4
         same_lines(_written_lines(["x"], rows), _reference_lines(["x"], rows))
         np.testing.assert_array_equal(python_rows, _outside_the_kernel(rows))
 
+    def test_exponent_guess_within_one_at_both_ends_of_every_binade(self):
+        # [2**e, 2**(e + 1)) spans log10(2) of a decade, so floor(log10 a) is
+        # the guess floor(e * log10(2)) or one more.
+        binades = range(math.frexp(1e-99)[1] - 1, math.frexp(1e15)[1])
+        ends = np.clip(
+            [(2.0**e, np.nextafter(2.0 ** (e + 1), 0.0)) for e in binades],
+            1e-99, np.nextafter(1e15, 0.0),
+        ).ravel()
+        exponents = np.array([Decimal(x).adjusted() for x in ends.tolist()])
+        guessed = np.take(cli._GUESSES, ends.view(np.int64) >> 52) - 100
+        assert set((exponents - guessed).tolist()) == {0, 1}
+
+    @pytest.mark.parametrize("destination", ["stdout", "file"])
     @pytest.mark.parametrize(
         "count", [1, cli.CHUNK_ROWS - 1, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1]
     )
-    def test_row_counts_around_a_chunk(self, same_lines, python_rows, count):
+    def test_row_counts_around_a_chunk(
+        self, tmp_path, same_lines, python_rows, count, destination
+    ):
         rng = np.random.default_rng(count)
         scales = 10.0 ** rng.integers(-12, 17, (count, 3))
         rows = np.abs(rng.standard_normal((count, 3))) * scales
         rows[::7, 1] = 0.0
         rows[::11, 2] *= -1.0
+        # Python prints the last row of one chunk and the first of the next.
+        rows[cli.CHUNK_ROWS - 1 : cli.CHUNK_ROWS + 1, 0] = 0.0
         columns = ["kt", "E", "P_0"]
-        same_lines(_written_lines(columns, rows), _reference_lines(columns, rows))
+        path = "-" if destination == "stdout" else tmp_path / "rows.csv"
+        same_lines(_written_lines(columns, rows, path), _reference_lines(columns, rows))
         assert python_rows == _outside_the_kernel(rows)
 
     def test_only_rows_with_unscaled_cells_go_through_python(
@@ -456,7 +484,7 @@ class TestCsvWriter:
                     9.999999999999999e-100, 1e15, -1.7976931348623157e308]
         rows = [(v, 1.5) for v in scaled] + [(1.5, v) for v in unscaled]
         rows = np.array(rows)[np.random.default_rng(0).permutation(len(rows))]
-        lines = cli._csv_lines(rows, ["%.14e", "%.14e"])
+        lines = str(cli._csv_lines(rows, ["%.14e", "%.14e"]), "ascii")
         same_lines(lines, _reference_lines(["kt", "x"], rows))
         np.testing.assert_array_equal(python_rows, _outside_the_kernel(rows))
         assert len(python_rows) == len(unscaled)
@@ -468,7 +496,7 @@ class TestCsvWriter:
         monkeypatch.setattr(cli, "_MARGIN", 1.0)
         values = np.array([v for case in EDGE_CASES.values() for v in case])
         values = values[(values >= 1e-99) & (values < 1e15)]
-        lines = cli._csv_lines(values[:, None], ["%.14e"])
+        lines = str(cli._csv_lines(values[:, None], ["%.14e"]), "ascii")
         same_lines(lines, _reference_lines(["x"], values[:, None]))
         assert python_rows == [[v] for v in values.tolist() if v < 1e-8]
 

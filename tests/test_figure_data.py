@@ -110,4 +110,4 @@ def test_published_rows_round_trip_through_the_writer(same_lines, name):
         for column in header.rstrip("\n").split(",")
     ]
     values = np.array([row.split(",") for row in rows], dtype=float)
-    same_lines(_csv_lines(values, formats), "".join(rows))
+    same_lines(str(_csv_lines(values, formats), "ascii"), "".join(rows))
