@@ -135,37 +135,36 @@ def amplitude_table(config: ModelConfig) -> AmplitudeTable:
     """Build the exact mixing matrix of one configuration.
 
     Entry (n, m) is the paper's sum over k of
-    (-1)^k C(m, k) [C(N+1-2k, n-k) - 2 C(N-2k, n-k-1)] / C(N-2k, M-k).
-    The denominators depend only on k, so every term is scaled to their
-    least common multiple L and summed as an integer; the table keeps those
-    sums over L.  Row n's brackets z_k are scaled once by (-1)^k L / D_k,
-    and then each Pascal step z_k <- z_k + z_(k+1) leaves sum_k C(m, k) z_k
-    in z_0 after m steps, for every m in turn: a row costs m' + 1 products
-    and about (m' + 1)^2 / 2 additions, and no C(m, k).  Construction is
-    validated against the t = 0 product state on the integer sums: column
-    m must sum to L for m = 0 and to 0 otherwise, exactly.  A root past the
-    float maximum (from N = 2059 at half filling) is refused before all that.
+    (-1)^k C(m, k) [C(N+1-2k, n-k) - 2 C(N-2k, n-k-1)] / C(N-2k, M-k), kept as
+    the integer w_nm over the least common multiple L of its denominators.
+    M and N - M share one table; take M' = m'.  On the Dicke states m = 0..M'
+    of the polarized blocks the hopping is tridiagonal: diagonal m(N - 2m),
+    squared off-diagonal m^2 c_m / c_(m-1), c_m = (m!)^2 C(M', m) C(N-M', m).
+    Row n, times c_m, is its eigenvector of eigenvalue -lambda_n, so from the
+    k = 0 term w_0 = (L / C(N, M)) (C(N+1, n) - 2 C(N, n-1)) the row follows
+      w_(m+1) (M' - m)(N - M' - m) = -((lambda_n + m(N - 2m)) w_m + m^2 w_(m-1)).
+    Each w_m is an integer, so each of the O(m'^2) steps divides exactly by a
+    small integer; a remainder is refused as corrupt data, and so is a column
+    m not summing to L for m = 0 and to 0 otherwise (the t = 0 product state).
+    A root past the float maximum (N >= 2059 at half filling) is refused first.
     """
     N, M = config.dots, config.excitations
     top, roots = config.m_prime, _branch_roots(config)
     denominators = [binomial(N - 2 * k, M - k) for k in range(top + 1)]
     common = math.lcm(*denominators)
-    scales = [(-1) ** k * (common // d) for k, d in enumerate(denominators)]
+    steps = [(m * (N - 2 * m), m * m, (top - m) * (N - top - m)) for m in range(top)]
     rows = []
-    for n in range(top + 1):
-        # scaled bracket of row n; terms with k > n vanish
-        z = [
-            scales[k]
-            * (binomial(N + 1 - 2 * k, n - k) - 2 * binomial(N - 2 * k, n - k - 1))
-            for k in range(n + 1)
-        ] + [0] * (top - n)
-        row = [z[0]]
-        for _ in range(top):
-            z = list(map(operator.add, z, z[1:]))
-            row.append(z[0])
+    for n, lam in enumerate(config.phase_multipliers):
+        w = common // denominators[0] * (binomial(N + 1, n) - 2 * binomial(N, n - 1))
+        previous, row = 0, [w]
+        for m, (diagonal, square, divisor) in enumerate(steps):
+            w, previous = -(lam + diagonal) * w - square * previous, w
+            w, rest = divmod(w, divisor)
+            if rest:
+                raise NormalizationError(f"N={N}, M={M}: inexact step at n={n}, m={m}")
+            row.append(w)
         rows.append(tuple(row))
-    for m in range(top + 1):
-        column_sum = sum(row[m] for row in rows)
+    for m, column_sum in enumerate(map(sum, zip(*rows))):
         if column_sum != (common if m == 0 else 0):
             raise NormalizationError(
                 f"initial condition violated in column {m}: "

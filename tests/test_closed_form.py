@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import operator
 import tracemalloc
 from fractions import Fraction
 
@@ -248,14 +249,29 @@ class TestAmplitudeTable:
         with pytest.raises(ValueError, match=r"^N=2059, M=1029: .* float maximum"):
             amplitude_table(ModelConfig(2059, 1029))
 
-    def test_pascal_steps_equal_the_per_term_sums(self):
-        sizes = [(n, m) for n in range(1, 31) for m in range(n + 1)]
+    def test_recurrence_equals_the_paper_k_sums(self):
+        sizes = [(n, m) for n in range(1, 41) for m in range(n + 1)]
         for dots, excited in sizes + [(64, 32), (101, 50)]:
             table = amplitude_table(ModelConfig(dots, excited))
             reference = _per_term_numerators(dots, excited)
             assert (table.numerators, table.denominator) == reference
 
-    def test_binomial_calls_grow_quadratically(self, monkeypatch):
+    @pytest.mark.parametrize("dots", [*range(1, 60, 2), 101, 201, 401, 1001])
+    def test_exact_magnitudes_at_pi(self, dots):
+        # At kt = pi each harmonic is (-1)^lambda_n, so |c_m| is an exact
+        # rational: the closed form 2^m m! (N - 2M) (N - 2m - 2)!! / N!!.
+        half = (dots - 1) // 2
+        for excited in range(half + 1) if dots < 60 else (1, 3, half):
+            config = ModelConfig(dots, excited)
+            table = amplitude_table(config)
+            signs = [1 - 2 * (lam % 2) for lam in config.phase_multipliers]
+            magnitudes = tuple(
+                Fraction(abs(sum(map(operator.mul, signs, column))), table.denominator)
+                for column in zip(*table.numerators)
+            )
+            assert magnitudes == pi_time_magnitudes_exact(config)
+
+    def test_binomial_calls_grow_linearly(self, monkeypatch):
         calls = []
         real = dotent.closed_form.binomial
 
@@ -265,7 +281,25 @@ class TestAmplitudeTable:
 
         monkeypatch.setattr(dotent.closed_form, "binomial", counted)
         amplitude_table(ModelConfig(60, 30))
-        assert len(calls) <= 3 * 31**2
+        # the denominators, the branch roots and each row's first entry
+        assert len(calls) <= 6 * 31
+
+    @pytest.mark.parametrize("dots,excitations", [(6, 2), (10, 4)])
+    def test_shifted_frequency_fails_the_recurrence_step(
+        self, monkeypatch, dots, excitations
+    ):
+        # lambda_1 + 1 is no eigenvalue, so row 1's first step leaves a
+        # remainder, and is refused before the column sums are checked.
+        real = ModelConfig.phase_multipliers
+
+        def shifted(config):
+            multipliers = real.fget(config)
+            return multipliers[:1] + (multipliers[1] + 1,) + multipliers[2:]
+
+        monkeypatch.setattr(ModelConfig, "phase_multipliers", property(shifted))
+        message = rf"^N={dots}, M={excitations}: inexact step at n=1, m=0$"
+        with pytest.raises(NormalizationError, match=message):
+            amplitude_table(ModelConfig(dots, excitations))
 
     def test_corrupt_bracket_fails_the_construction_check(self, monkeypatch):
         real = dotent.closed_form.binomial
